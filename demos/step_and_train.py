@@ -5,10 +5,10 @@ and lowered by one.  A finite train of impulses is the same input truncated,
 so its response peels away from the step response once the train ends.
 """
 from fiblti import (
+    convolve,
     fibonacci_system,
+    make_impulse,
     make_step,
-    make_train,
-    respond_closed_form,
     simulate_difference_equation,
     step_response_closed_form,
 )
@@ -20,12 +20,13 @@ print("  (equals f(n+3) - 1 at every index; the sum meanders upward)")
 sim = simulate_difference_equation(fibonacci_system(), make_step(9), 8)
 print("recursion agrees    :", sim.to_ints())
 
-print("\nweighted-sum closed form agrees too:",
-      respond_closed_form(make_step(9), 8).to_ints())
+impulse_response = simulate_difference_equation(fibonacci_system(), make_impulse(), 8)
+print("\nweighted sum of the impulse response agrees too:",
+      convolve(make_step(9), impulse_response).to_ints()[:9])
 
 print("\ntrains of 1, 2, 3 impulses vs the step")
 for count in (1, 2, 3):
-    train = make_train(count)
+    train = make_step(count)  # `count` unit impulses at n = 0..count-1
     response = simulate_difference_equation(fibonacci_system(), train, 8)
     print(f"  train({count}): {response.to_ints()}")
 print("  step    :", step.to_ints())

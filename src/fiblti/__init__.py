@@ -65,9 +65,7 @@ from .response import (
     freq_response,
     make_impulse,
     make_step,
-    make_train,
     min_phase_impulse,
-    respond_closed_form,
     simulate_difference_equation,
     step_response_closed_form,
 )

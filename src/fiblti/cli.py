@@ -59,6 +59,17 @@ def _coeff_list(text: str) -> list[Fraction]:
     return items
 
 
+def _positive_tol(text: str) -> str:
+    """A rational tolerance > 0, kept as the user's text so output echoes it."""
+    try:
+        tol = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}")
+    if tol <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be > 0, got {text!r}")
+    return text
+
+
 def _system(args) -> RationalSystem:
     return RationalSystem(args.num, args.den)
 
@@ -290,6 +301,8 @@ def _cmd_cascade(args, parser) -> str:
 def _cmd_props(args, parser) -> str:
     if args.nmax < 1:
         parser.error(f"--nmax must be >= 1, got {args.nmax}")
+    if args.forms is not None and args.forms < 0:
+        parser.error(f"--forms must be >= 0, got {args.forms}")
     report = check_identities(args.nmax)
     ratio_index = None
     if args.ratio_tol is not None:
@@ -417,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     props = subs.add_parser("props", help="identity battery and convergence checks")
     props.add_argument("--nmax", type=int, default=200, help="sweep bound (default 200)")
-    props.add_argument("--ratio-tol", default=None,
+    props.add_argument("--ratio-tol", type=_positive_tol, default=None,
                        help="also report the first index with |f(n+1)/f(n) - phi| < TOL")
     props.add_argument("--forms", type=int, default=None, metavar="NMAX",
                        help="also check the closed forms for f(n+1) up to NMAX")

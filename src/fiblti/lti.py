@@ -13,6 +13,7 @@ side of the annulus the pole lies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
@@ -68,6 +69,33 @@ class InvalidRocError(ValueError):
     """The requested region of convergence is inconsistent with the poles."""
 
 
+def _lift(items: Iterable, d: int = 5) -> tuple[list[QuadRational], int]:
+    """Lift int/Fraction/QuadRational values into one quadratic field.
+
+    The field is that of the first irrational value (default `d`); returns
+    the lifted values and the field's radicand.  Irrational values from two
+    different fields raise FieldMismatchError.
+    """
+    items = list(items)
+    rad = None
+    for v in items:
+        if isinstance(v, QuadRational) and not v.is_rational:
+            if rad is None:
+                rad = v.d
+            elif rad != v.d:
+                raise FieldMismatchError(f"values mix sqrt({rad}) and sqrt({v.d})")
+    rad = rad if rad is not None else d
+    lifted = []
+    for v in items:
+        if isinstance(v, QuadRational):
+            if v.is_rational and v.d != rad:
+                v = QuadRational(v.a, 0, rad)
+        else:
+            v = QuadRational(v, 0, rad)
+        lifted.append(v)
+    return lifted, rad
+
+
 class Polynomial:
     """A polynomial in z^-1: ``coeffs[k]`` multiplies z^-k.  Immutable, exact.
 
@@ -79,25 +107,7 @@ class Polynomial:
     __slots__ = ("_coeffs", "_d")
 
     def __init__(self, coeffs: Iterable[Coefficient] = (), d: int = 5) -> None:
-        items = list(coeffs)
-        rad = None
-        for c in items:
-            if isinstance(c, QuadRational) and not c.is_rational:
-                if rad is None:
-                    rad = c.d
-                elif rad != c.d:
-                    raise FieldMismatchError(
-                        f"coefficients mix sqrt({rad}) and sqrt({c.d}) values"
-                    )
-        rad = rad if rad is not None else d
-        lifted = []
-        for c in items:
-            if isinstance(c, QuadRational):
-                if c.is_rational and c.d != rad:
-                    c = QuadRational(c.a, 0, rad)
-            else:
-                c = QuadRational(c, 0, rad)
-            lifted.append(c)
+        lifted, rad = _lift(coeffs, d)
         while lifted and not lifted[-1]:
             lifted.pop()
         self._coeffs = tuple(lifted)
@@ -321,9 +331,12 @@ def classify(roc: Roc, poles: "Iterable[Pole] | None" = None) -> Classification:
                 raise InvalidRocError(
                     f"pole of modulus {p.modulus()} lies inside the annulus"
                 )
-    causal = roc.r_out is None
-    stable = _lt(roc.r_in, 1) and (roc.r_out is None or _lt(1, roc.r_out))
-    return Classification(causal, stable)
+    return _roc_tags(roc.r_in, roc.r_out)
+
+
+def _roc_tags(r_in, r_out) -> Classification:
+    """Causal iff the annulus reaches infinity; stable iff it holds |z| = 1."""
+    return Classification(r_out is None, _lt(r_in, 1) and (r_out is None or _lt(1, r_out)))
 
 
 def _lt(a, b) -> bool:
@@ -345,32 +358,25 @@ def _strictly_inside(mod, roc: Roc) -> bool:
 class SequenceWindow:
     """Sequence values on a contiguous index window [n0, n1].
 
-    Values are exact field elements; only the numeric pole fallback produces
-    float windows, reported by ``exact`` being False.
+    The one window type for inputs and responses.  Values are exact field
+    elements; only the numeric pole fallback produces float windows (complex
+    values keep their real part), reported by ``exact`` being False.
     """
 
-    __slots__ = ("_n0", "_values")
+    __slots__ = ("_n0", "_values", "_exact", "_zero")
 
     def __init__(self, n0: int, values: Iterable) -> None:
         items = list(values)
-        if any(isinstance(v, (float, complex)) for v in items):
-            self._values = tuple(
-                v.real if isinstance(v, complex) else float(v) for v in items
-            )
-        else:
-            rad = next(
-                (v.d for v in items if isinstance(v, QuadRational) and not v.is_rational),
-                5,
-            )
-            lifted = []
-            for v in items:
-                if isinstance(v, QuadRational):
-                    if v.is_rational and v.d != rad:
-                        v = QuadRational(v.a, 0, rad)
-                else:
-                    v = QuadRational(v, 0, rad)
-                lifted.append(v)
+        self._exact = not any(isinstance(v, (float, complex)) for v in items)
+        if self._exact:
+            lifted, rad = _lift(items)
             self._values = tuple(lifted)
+            self._zero = QuadRational(0, 0, rad)
+        else:
+            self._values = tuple(
+                float(v.real if isinstance(v, complex) else v) for v in items
+            )
+            self._zero = 0.0
         self._n0 = int(n0)
 
     @property
@@ -387,16 +393,37 @@ class SequenceWindow:
 
     @property
     def exact(self) -> bool:
-        return not any(isinstance(v, float) for v in self._values)
+        return self._exact
 
     def value_at(self, n: int):
-        if self._n0 <= n <= self.n1:
-            return self._values[n - self._n0]
-        return 0.0 if not self.exact else QuadRational(0, 0, 5)
+        """The value at index n; zero outside the window."""
+        i = n - self._n0
+        if 0 <= i < len(self._values):
+            return self._values[i]
+        return self._zero
 
     def items(self):
         for i, v in enumerate(self._values):
             yield self._n0 + i, v
+
+    def shifted(self, k: int) -> "SequenceWindow":
+        """The sequence delayed by k samples."""
+        return SequenceWindow(self._n0 + k, self._values)
+
+    def scaled(self, c) -> "SequenceWindow":
+        """Every value multiplied by c; an exact window scales exactly."""
+        if self._exact and not isinstance(c, QuadRational):
+            c = Fraction(c)
+        return SequenceWindow(self._n0, [c * v for v in self._values])
+
+    def __add__(self, other) -> "SequenceWindow":
+        if not isinstance(other, SequenceWindow):
+            return NotImplemented
+        n0 = min(self._n0, other._n0)
+        n1 = max(self.n1, other.n1)
+        return SequenceWindow(
+            n0, [self.value_at(n) + other.value_at(n) for n in range(n0, n1 + 1)]
+        )
 
     def __len__(self) -> int:
         return len(self._values)
@@ -510,12 +537,8 @@ class RationalSystem:
 
 
 def _expand_factors(poles: Iterable[Pole], d: int) -> Polynomial:
-    prod = Polynomial([1], d=d)
-    for p in poles:
-        factor = Polynomial([QuadRational(1, 0, d), -p.value])
-        for _ in range(p.multiplicity):
-            prod = prod * factor
-    return prod
+    factors = [(p.value, p.multiplicity) for p in poles]
+    return Polynomial(_term_basis(None, 0, factors, QuadRational(1, 0, d)), d=d)
 
 
 def find_poles(den) -> list[Pole]:
@@ -632,32 +655,17 @@ def enumerate_rocs(poles: Iterable[Pole]) -> list[Roc]:
     infinity) and stable (contains the unit circle).
     """
     poles = list(poles)
-    if not poles:
-        roc = Roc(QuadRational(0, 0, 5), None, True, True)
-        return [roc]
-    if all(p.exact for p in poles):
-        moduli: list = []
-        for p in poles:
-            m = abs(p.value)
-            if not any(m == seen for seen in moduli):
-                moduli.append(m)
-        moduli.sort(key=float)
-        zero = QuadRational(0, 0, moduli[0].d)
-    else:
-        float_moduli: list[float] = []
-        for p in poles:
-            m = abs(complex(p.as_complex()))
-            if not any(abs(m - seen) <= 1e-9 * max(1.0, seen) for seen in float_moduli):
-                float_moduli.append(m)
-        moduli = sorted(float_moduli)
-        zero = 0.0
+    exact = all(p.exact for p in poles)
+    same = operator.eq if exact else lambda m, seen: abs(m - seen) <= 1e-9 * max(1.0, seen)
+    moduli: list = []
+    for p in poles:
+        m = p.modulus() if exact else abs(complex(p.value))
+        if not any(same(m, seen) for seen in moduli):
+            moduli.append(m)
+    moduli.sort(key=float)
+    zero = QuadRational(0, 0, moduli[0].d if moduli else 5) if exact else 0.0
     bounds = [zero, *moduli, None]
-    rocs = []
-    for r_in, r_out in zip(bounds, bounds[1:]):
-        causal = r_out is None
-        stable = _lt(r_in, 1) and (r_out is None or _lt(1, r_out))
-        rocs.append(Roc(r_in, r_out, causal, stable))
-    return rocs
+    return [Roc(r_in, r_out, *_roc_tags(r_in, r_out)) for r_in, r_out in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -685,8 +693,11 @@ class PartialFractionExpansion:
         d = self.poly_part.radicand
         den = _expand_factors(poles, d)
         num = self.poly_part * den
+        one = QuadRational(1, 0, d)
+        factors = [(p.value, p.multiplicity) for p in poles]
         for t in self.terms:
-            num = num + _term_basis(t.pole, t.order, poles, d) * t.coefficient
+            basis = Polynomial(_term_basis(t.pole.value, t.order, factors, one), d=d)
+            num = num + basis * t.coefficient
         return RationalSystem(num, den, poles)
 
 
@@ -697,18 +708,25 @@ def _collect_poles(terms: Iterable[PartialFractionTerm]) -> tuple[Pole, ...]:
     return tuple(sorted(seen.values(), key=_pole_sort_key))
 
 
-def _term_basis(pole: Pole, order: int, poles, d: int) -> Polynomial:
-    """Product of all pole factors except (1 - p w)^order for this term.
+def _term_basis(value, order: int, factors, one) -> list:
+    """Coefficients in z^-1 of all pole factors except (1 - value z^-1)^order.
 
-    Multiplying term j of pole p by the common denominator leaves exactly
-    this polynomial, which is what the coefficient-matching solve uses.
+    `factors` holds (pole value, multiplicity) pairs and `one` is the unit,
+    both of one scalar kind: exact field elements or complex floats.
+    Multiplying a term of that pole and order by the common denominator
+    leaves exactly this polynomial, which is what the coefficient-matching
+    solve uses.
     """
-    prod = Polynomial([1], d=d)
-    for q in poles:
-        mult = q.multiplicity - order if q.value == pole.value else q.multiplicity
-        factor = Polynomial([QuadRational(1, 0, d), -q.value])
+    zero = one - one
+    prod = [one]
+    for q, mult in factors:
+        if q == value:
+            mult -= order
         for _ in range(mult):
-            prod = prod * factor
+            prod = [
+                (prod[i] if i < len(prod) else zero) - q * (prod[i - 1] if i else zero)
+                for i in range(len(prod) + 1)
+            ]
     return prod
 
 
@@ -727,22 +745,15 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
         return PartialFractionExpansion((), quot, True)
 
     exact = all(p.exact for p in poles)
+    scalar = _scalar_map(exact)
+    one = scalar(QuadRational(1, 0, sys.denominator.radicand))
+    zero = one - one
+    factors = [(scalar(p.value), p.multiplicity) for p in poles]
     columns = [(p, j) for p in poles for j in range(1, p.multiplicity + 1)]
-    if exact:
-        d = sys.denominator.radicand
-        basis = [_term_basis(p, j, poles, d) for p, j in columns]
-        mat = [[b.coefficient(i) for b in basis] for i in range(total)]
-        rhs = [rem.coefficient(i) for i in range(total)]
-        sol = _solve_linear(mat, rhs, exact=True)
-    else:
-        basis_f = [
-            _complex_basis(p.as_complex(), j, poles) for p, j in columns
-        ]
-        mat = [
-            [b[i] if i < len(b) else 0j for b in basis_f] for i in range(total)
-        ]
-        rhs = [complex(float(rem.coefficient(i)), 0.0) for i in range(total)]
-        sol = _solve_linear(mat, rhs, exact=False)
+    basis = [_term_basis(scalar(p.value), j, factors, one) for p, j in columns]
+    mat = [[b[i] if i < len(b) else zero for b in basis] for i in range(total)]
+    rhs = [scalar(rem.coefficient(i)) for i in range(total)]
+    sol = _solve_linear(mat, rhs, exact)
 
     terms = tuple(
         PartialFractionTerm(p, j, coeff) for (p, j), coeff in zip(columns, sol)
@@ -750,18 +761,16 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     return PartialFractionExpansion(terms, quot, exact)
 
 
-def _complex_basis(pole_value: complex, order: int, poles) -> list[complex]:
-    prod = [1 + 0j]
-    for q in poles:
-        qv = q.as_complex()
-        mult = q.multiplicity - order if qv == pole_value else q.multiplicity
-        for _ in range(mult):
-            prod = [
-                (prod[i] if i < len(prod) else 0j)
-                - qv * (prod[i - 1] if 0 < i <= len(prod) else 0j)
-                for i in range(len(prod) + 1)
-            ]
-    return prod
+def _scalar_map(exact: bool):
+    """The scalar map of one arithmetic path.
+
+    The exact path keeps field elements as they are.  The numeric path turns
+    them into complex floats and leaves complex values alone, so the numpy
+    scalars of numeric poles keep numpy's arithmetic and its rounding.
+    """
+    if exact:
+        return lambda v: v
+    return lambda v: v if isinstance(v, complex) else complex(v)
 
 
 def _solve_linear(mat, rhs, exact: bool):
@@ -829,46 +838,35 @@ def inverse_z(
     else:
         terms = tuple(expansion)
         poly_part = Polynomial(())
+    scalar = _scalar_map(all(t.pole.exact for t in terms))
     sides = []
     for t in terms:
         mod = t.pole.modulus()
         if roc.r_out is not None and _le(roc.r_out, mod):
-            sides.append((t, False))
+            right = False
         elif _le(mod, roc.r_in):
-            sides.append((t, True))
+            right = True
         else:
             raise InvalidRocError(
                 f"pole of modulus {mod} lies inside the annulus; "
                 "no sequence converges there"
             )
-    exact = all(t.pole.exact for t in terms)
+        sides.append((scalar(t.coefficient), scalar(t.pole.value), t.order, right))
+    poly = [scalar(c) for c in poly_part.coeffs]
+    zero = scalar(QuadRational(0, 0, poly_part.radicand))
     values = []
     for n in range(n0, n1 + 1):
-        if exact:
-            acc = QuadRational(0, 0, poly_part.radicand)
-            if 0 <= n:
-                acc = acc + poly_part.coefficient(n)
-            for t, right in sides:
-                m = t.order
-                if right and n >= 0:
-                    acc = acc + t.coefficient * _binom_weight(n, m) * t.pole.value ** n
-                elif not right and n <= -m:
-                    acc = acc - t.coefficient * _binom_weight(n, m) * t.pole.value ** n
-            values.append(acc)
-        else:
-            accf = 0j
-            if 0 <= n:
-                accf += complex(float(poly_part.coefficient(n)), 0.0)
-            for t, right in sides:
-                m = t.order
-                pv = t.pole.as_complex()
-                cf = complex(t.coefficient)
-                if right and n >= 0:
-                    accf += cf * _binom_weight(n, m) * pv ** n
-                elif not right and n <= -m:
-                    accf -= cf * _binom_weight(n, m) * pv ** n
-            # Conjugate pole pairs cancel the imaginary rounding residue.
-            values.append(accf.real)
+        acc = zero
+        if 0 <= n < len(poly):
+            acc = acc + poly[n]
+        for c, p, m, right in sides:
+            if right and n >= 0:
+                acc = acc + c * _binom_weight(n, m) * p ** n
+            elif not right and n <= -m:
+                acc = acc - c * _binom_weight(n, m) * p ** n
+        values.append(acc)
+    # A numeric window keeps the real part: conjugate pole pairs cancel the
+    # imaginary rounding residue.
     return SequenceWindow(n0, values)
 
 

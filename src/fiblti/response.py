@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -26,10 +24,8 @@ __all__ = [
     "Signal",
     "make_impulse",
     "make_step",
-    "make_train",
     "simulate_difference_equation",
     "convolve",
-    "respond_closed_form",
     "step_response_closed_form",
     "min_phase_impulse",
     "FrequencyGrid",
@@ -42,61 +38,8 @@ __all__ = [
 ]
 
 
-class Signal:
-    """A finite rational input signal on a contiguous window starting at n0."""
-
-    __slots__ = ("_n0", "_values")
-
-    def __init__(self, n0: int, values: Iterable) -> None:
-        self._n0 = int(n0)
-        self._values = tuple(Fraction(v) for v in values)
-
-    @property
-    def n0(self) -> int:
-        return self._n0
-
-    @property
-    def n1(self) -> int:
-        return self._n0 + len(self._values) - 1
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return self._values
-
-    def value_at(self, n: int) -> Fraction:
-        if self._n0 <= n <= self.n1:
-            return self._values[n - self._n0]
-        return Fraction(0)
-
-    def items(self):
-        for i, v in enumerate(self._values):
-            yield self._n0 + i, v
-
-    def shifted(self, k: int) -> "Signal":
-        return Signal(self._n0 + k, self._values)
-
-    def scaled(self, c) -> "Signal":
-        c = Fraction(c)
-        return Signal(self._n0, tuple(c * v for v in self._values))
-
-    def __add__(self, other) -> "Signal":
-        if not isinstance(other, Signal):
-            return NotImplemented
-        n0 = min(self._n0, other._n0)
-        n1 = max(self.n1, other.n1)
-        return Signal(n0, tuple(self.value_at(n) + other.value_at(n) for n in range(n0, n1 + 1)))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Signal):
-            return self._n0 == other._n0 and self._values == other._values
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        vals = ", ".join(str(v) for v in self._values)
-        return f"Signal(n0={self._n0}, values=[{vals}])"
+#: Input signals are sequence windows too; the name reads better at call sites.
+Signal = SequenceWindow
 
 
 def make_impulse() -> Signal:
@@ -109,17 +52,6 @@ def make_step(length: int) -> Signal:
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     return Signal(0, (1,) * length)
-
-
-def make_train(count: int) -> Signal:
-    """`count` unit impulses at n = 0..count-1.
-
-    As a finite signal this coincides with the truncated step of the same
-    length; both exist because they name different experiments.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return Signal(0, (1,) * count)
 
 
 def simulate_difference_equation(sys: RationalSystem, x: Signal, n1: int) -> SequenceWindow:
@@ -149,8 +81,8 @@ def simulate_difference_equation(sys: RationalSystem, x: Signal, n1: int) -> Seq
     return SequenceWindow(n0, ys)
 
 
-def convolve(x, h) -> SequenceWindow:
-    """Exact finite convolution; supports Signal and SequenceWindow inputs."""
+def convolve(x: SequenceWindow, h: SequenceWindow) -> SequenceWindow:
+    """Exact finite convolution of two windows."""
     xv = list(x.values)
     hv = list(h.values)
     if not xv or not hv:
@@ -161,25 +93,6 @@ def convolve(x, h) -> SequenceWindow:
             prod = a * b
             out[i + j] = prod if out[i + j] is None else out[i + j] + prod
     return SequenceWindow(x.n0 + h.n0, out)
-
-
-def respond_closed_form(x: Signal, n1: int) -> SequenceWindow:
-    """Response of the Fibonacci system to x via the weighted sum.
-
-    y(n) = sum_k x(k) f(n+1-k) over the input support with k <= n, evaluated
-    with exact big integers (as Fractions when the input is fractional).
-    """
-    if n1 < x.n0:
-        raise ValueError(f"n1 = {n1} precedes the input start {x.n0}")
-    fibs = [v.value for v in fib_recursive(0, n1 - x.n0 + 2)]
-    values = []
-    for n in range(x.n0, n1 + 1):
-        acc = Fraction(0)
-        for k, xv in x.items():
-            if k <= n and xv:
-                acc += xv * fibs[n + 1 - k]
-        values.append(acc)
-    return SequenceWindow(x.n0, values)
 
 
 def step_response_closed_form(n1: int) -> SequenceWindow:

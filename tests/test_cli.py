@@ -380,11 +380,16 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    for bad in (["--ratio-tol", "abc"], ["--ratio-tol", "0"], ["--forms", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["props", "--nmax", "10", *bad])
+        assert exc.value.code == 2
 
 
-def test_module_entry_point_runs_as_a_process():
+@pytest.mark.parametrize("module", ["fiblti", "fiblti.cli"])
+def test_module_entry_point_runs_as_a_process(module):
     result = subprocess.run(
-        [sys.executable, "-m", "fiblti.cli", "gen", "--count", "11"],
+        [sys.executable, "-m", module, "gen", "--count", "11"],
         capture_output=True,
         text=True,
     )

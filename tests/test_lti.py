@@ -522,3 +522,10 @@ def test_window_equality():
     assert SequenceWindow(0, [1, 2]) == SequenceWindow(0, [1, 2])
     assert SequenceWindow(0, [1, 2]) != SequenceWindow(1, [1, 2])
     assert SequenceWindow(0, [1, 2]) != SequenceWindow(0, [1, 3])
+
+
+def test_window_rejects_values_from_two_fields():
+    with pytest.raises(FieldMismatchError):
+        SequenceWindow(0, [QuadRational(0, 1, 2), QuadRational(0, 1, 5)])
+    win = SequenceWindow(0, [1, QuadRational(0, 1, 2)])
+    assert win.value_at(0) == 1 and win.value_at(5) == 0
