@@ -70,6 +70,21 @@ def _positive_tol(text: str) -> str:
     return text
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _system(args) -> RationalSystem:
     return RationalSystem(args.num, args.den)
 
@@ -169,7 +184,7 @@ def _select_roc(rocs, selector: str, parser) -> "object":
 
 def _impulse_window(sys_, selector: str, start: int, stop: int, parser):
     if stop < start:
-        parser.error(f"--to {stop} precedes --from {start}")
+        parser.error(f"last index {stop} precedes first index {start}")
     expansion = partial_fractions(sys_)
     rocs = enumerate_rocs(sys_.poles())
     roc = _select_roc(rocs, selector, parser)
@@ -180,8 +195,6 @@ def _impulse_window(sys_, selector: str, start: int, stop: int, parser):
 
 
 def _cmd_gen(args, parser) -> str:
-    if args.count < 1:
-        parser.error(f"--count must be >= 1, got {args.count}")
     if args.start < 0 and args.engine != "binet":
         parser.error(f"engine {args.engine!r} needs --start >= 0 (binet accepts any index)")
     if args.engine == "recursive":
@@ -230,8 +243,6 @@ def _cmd_impz(args, parser) -> str:
 
 
 def _cmd_freqz(args, parser) -> str:
-    if args.points < 2:
-        parser.error(f"--points must be >= 2, got {args.points}")
     sys_ = _system(args)
     grid = freq_response(sys_, args.points)
     if args.features:
@@ -274,8 +285,6 @@ def _cmd_respond(args, parser) -> str:
 
 
 def _cmd_step(args, parser) -> str:
-    if args.stop < 0:
-        parser.error(f"--to must be >= 0, got {args.stop}")
     return _emit_sequence(step_response_closed_form(args.stop), args.format)
 
 
@@ -299,10 +308,6 @@ def _cmd_cascade(args, parser) -> str:
 
 
 def _cmd_props(args, parser) -> str:
-    if args.nmax < 1:
-        parser.error(f"--nmax must be >= 1, got {args.nmax}")
-    if args.forms is not None and args.forms < 0:
-        parser.error(f"--forms must be >= 0, got {args.forms}")
     report = check_identities(args.nmax)
     ratio_index = None
     if args.ratio_tol is not None:
@@ -340,8 +345,6 @@ def _cmd_props(args, parser) -> str:
 
 
 def _cmd_minphase(args, parser) -> str:
-    if args.stop < 0:
-        parser.error(f"--to must be >= 0, got {args.stop}")
     return _emit_sequence(min_phase_impulse(args.stop), args.format)
 
 
@@ -375,16 +378,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("gen", help="generate the sequence with a chosen engine")
     gen.add_argument("--engine", choices=("recursive", "binet", "doubling"),
                      default="doubling", help="sequence engine (default doubling)")
-    gen.add_argument("--count", type=int, required=True, help="number of values")
+    gen.add_argument("--count", type=_int_at_least(1), required=True, help="number of values")
     gen.add_argument("--start", type=int, default=0,
                      help="first index (default 0; may be negative for binet)")
     _add_out_format(gen)
-    gen.set_defaults(handler=_cmd_gen)
+    gen.set_defaults(handler=_cmd_gen, parser=gen)
 
     analyze = subs.add_parser("analyze", help="poles, regions of convergence and partial fractions as JSON")
     _add_system_args(analyze)
     analyze.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    analyze.set_defaults(handler=_cmd_analyze)
+    analyze.set_defaults(handler=_cmd_analyze, parser=analyze)
 
     impz = subs.add_parser("impz", help="inverse transform window for one region of convergence")
     _add_system_args(impz)
@@ -393,15 +396,15 @@ def _build_parser() -> argparse.ArgumentParser:
     impz.add_argument("--from", dest="start", type=int, required=True, help="first index")
     impz.add_argument("--to", dest="stop", type=int, required=True, help="last index")
     _add_out_format(impz)
-    impz.set_defaults(handler=_cmd_impz)
+    impz.set_defaults(handler=_cmd_impz, parser=impz)
 
     freqz = subs.add_parser("freqz", help="frequency response grid on [0, pi]")
     _add_system_args(freqz)
-    freqz.add_argument("--points", type=int, default=512, help="grid size (default 512)")
+    freqz.add_argument("--points", type=_int_at_least(2), default=512, help="grid size (default 512)")
     freqz.add_argument("--features", action="store_true",
                        help="emit band landmarks (grid minimum plus the two-pole law) as JSON")
     _add_out_format(freqz, formats=("csv", "json"), default="csv")
-    freqz.set_defaults(handler=_cmd_freqz)
+    freqz.set_defaults(handler=_cmd_freqz, parser=freqz)
 
     respond = subs.add_parser("respond", help="exact response to a signal file")
     _add_system_args(respond, den_default="1,-1,-1")
@@ -409,12 +412,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="signal file: 'index,value' lines, '#' comments allowed")
     respond.add_argument("--to", dest="stop", type=int, required=True, help="last output index")
     _add_out_format(respond)
-    respond.set_defaults(handler=_cmd_respond)
+    respond.set_defaults(handler=_cmd_respond, parser=respond)
 
     step = subs.add_parser("step", help="closed-form step response of the Fibonacci system")
-    step.add_argument("--to", dest="stop", type=int, required=True, help="last output index")
+    step.add_argument("--to", dest="stop", type=_int_at_least(0), required=True, help="last output index")
     _add_out_format(step)
-    step.set_defaults(handler=_cmd_step)
+    step.set_defaults(handler=_cmd_step, parser=step)
 
     casc = subs.add_parser("cascade", help="series connection of two systems")
     casc.add_argument("--num-a", type=_coeff_list, default=[Fraction(1)])
@@ -426,30 +429,30 @@ def _build_parser() -> argparse.ArgumentParser:
     casc.add_argument("--roc", default="causal",
                       help="region selector when --impz is used (default causal)")
     _add_out_format(casc)
-    casc.set_defaults(handler=_cmd_cascade)
+    casc.set_defaults(handler=_cmd_cascade, parser=casc)
 
     props = subs.add_parser("props", help="identity battery and convergence checks")
-    props.add_argument("--nmax", type=int, default=200, help="sweep bound (default 200)")
+    props.add_argument("--nmax", type=_int_at_least(1), default=200, help="sweep bound (default 200)")
     props.add_argument("--ratio-tol", type=_positive_tol, default=None,
                        help="also report the first index with |f(n+1)/f(n) - phi| < TOL")
-    props.add_argument("--forms", type=int, default=None, metavar="NMAX",
+    props.add_argument("--forms", type=_int_at_least(0), default=None, metavar="NMAX",
                        help="also check the closed forms for f(n+1) up to NMAX")
     _add_out_format(props, formats=("text", "json"), default="text")
-    props.set_defaults(handler=_cmd_props)
+    props.set_defaults(handler=_cmd_props, parser=props)
 
     minphase = subs.add_parser("minphase", help="exact minimum-phase impulse response -n phi^-n")
-    minphase.add_argument("--to", dest="stop", type=int, required=True, help="last output index")
+    minphase.add_argument("--to", dest="stop", type=_int_at_least(0), required=True, help="last output index")
     _add_out_format(minphase)
-    minphase.set_defaults(handler=_cmd_minphase)
+    minphase.set_defaults(handler=_cmd_minphase, parser=minphase)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        text = args.handler(args, parser)
+        # Usage errors found after parsing go to the subcommand's own parser.
+        text = args.handler(args, args.parser)
     except (ValueError, ZeroDivisionError, ArithmeticError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,8 @@ side of the annulus the pole lies.
 
 from __future__ import annotations
 
+import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
@@ -59,6 +59,8 @@ Coefficient = Union[int, Fraction, QuadRational]
 _NUMERIC_RESIDUAL_TOL = 1e-10
 #: Relative distance under which numeric roots merge into one multiple pole.
 _NUMERIC_CLUSTER_TOL = 1e-6
+#: Relative distance under which two pole moduli count as one circle.
+_MODULUS_TOL = 1e-9
 
 
 class MalformedSystemError(ValueError):
@@ -276,7 +278,7 @@ def poly_mul(p, q) -> Polynomial:
 class Pole:
     """A denominator root in the z plane with its multiplicity.
 
-    `value` is an exact field element on the exact path, or a complex float
+    `value` is an exact field element on the exact path, or a Python complex
     from the numeric fallback (then ``exact`` is False).
     """
 
@@ -288,14 +290,11 @@ class Pole:
         return abs(self.value)
 
     def as_complex(self) -> complex:
-        return complex(self.value) if self.exact else self.value
+        return complex(self.value)
 
 
 def _pole_sort_key(p: Pole):
-    if p.exact:
-        v = float(p.value)
-        return (abs(v), v, 0.0)
-    z = complex(p.value)
+    z = p.as_complex()
     return (abs(z), z.real, z.imag)
 
 
@@ -323,36 +322,44 @@ def classify(roc: Roc, poles: "Iterable[Pole] | None" = None) -> Classification:
 
     Causal iff the region extends to infinity; stable iff it contains the
     unit circle.  When `poles` is given, the region is checked for
-    consistency (no pole strictly inside), raising InvalidRocError.
+    consistency by the side test `inverse_z` uses, raising InvalidRocError.
     """
     if poles is not None:
         for p in poles:
-            if _strictly_inside(p.modulus(), roc):
-                raise InvalidRocError(
-                    f"pole of modulus {p.modulus()} lies inside the annulus"
-                )
+            _right_sided(p.modulus(), roc)
     return _roc_tags(roc.r_in, roc.r_out)
 
 
 def _roc_tags(r_in, r_out) -> Classification:
     """Causal iff the annulus reaches infinity; stable iff it holds |z| = 1."""
-    return Classification(r_out is None, _lt(r_in, 1) and (r_out is None or _lt(1, r_out)))
+    stable = _cmp_modulus(r_in, 1) < 0 and (r_out is None or _cmp_modulus(1, r_out) < 0)
+    return Classification(r_out is None, stable)
 
 
-def _lt(a, b) -> bool:
+def _cmp_modulus(a, b) -> int:
+    """-1, 0 or 1 as modulus a lies below, on or above modulus b.
+
+    Exact for field elements; once a float is involved, moduli within a
+    relative `_MODULUS_TOL` are one circle.
+    """
     if isinstance(a, float) or isinstance(b, float):
-        return float(a) < float(b)
-    return a < b
+        a, b = float(a), float(b)
+        if abs(a - b) <= _MODULUS_TOL * max(1.0, a, b):
+            return 0
+    return (a > b) - (a < b)
 
 
-def _le(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) <= float(b)
-    return a <= b
-
-
-def _strictly_inside(mod, roc: Roc) -> bool:
-    return _lt(roc.r_in, mod) and (roc.r_out is not None and _lt(mod, roc.r_out))
+def _right_sided(mod, roc: Roc) -> bool:
+    """True for a pole on or inside the inner circle of `roc`, False for one
+    on or outside the outer circle; a pole between them raises InvalidRocError.
+    """
+    if roc.r_out is not None and _cmp_modulus(roc.r_out, mod) <= 0:
+        return False
+    if _cmp_modulus(mod, roc.r_in) <= 0:
+        return True
+    raise InvalidRocError(
+        f"pole of modulus {mod} lies inside the annulus; no sequence converges there"
+    )
 
 
 class SequenceWindow:
@@ -600,7 +607,7 @@ def _rational_sqrt_any_field(x: Fraction) -> QuadRational | None:
 
 def _numeric_poles(den: Polynomial) -> list[Pole]:
     coeffs = den.float_coeffs()  # z-polynomial, highest power of z first
-    roots = [_polish_root(coeffs, z) for z in np.roots(coeffs)]
+    roots = [_polish_root(coeffs, complex(z)) for z in np.roots(coeffs)]
     clusters: list[list[complex]] = []
     for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
         for cluster in clusters:
@@ -656,11 +663,10 @@ def enumerate_rocs(poles: Iterable[Pole]) -> list[Roc]:
     """
     poles = list(poles)
     exact = all(p.exact for p in poles)
-    same = operator.eq if exact else lambda m, seen: abs(m - seen) <= 1e-9 * max(1.0, seen)
     moduli: list = []
     for p in poles:
-        m = p.modulus() if exact else abs(complex(p.value))
-        if not any(same(m, seen) for seen in moduli):
+        m = p.modulus()
+        if not any(_cmp_modulus(m, seen) == 0 for seen in moduli):
             moduli.append(m)
     moduli.sort(key=float)
     zero = QuadRational(0, 0, moduli[0].d if moduli else 5) if exact else 0.0
@@ -762,15 +768,8 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
 
 
 def _scalar_map(exact: bool):
-    """The scalar map of one arithmetic path.
-
-    The exact path keeps field elements as they are.  The numeric path turns
-    them into complex floats and leaves complex values alone, so the numpy
-    scalars of numeric poles keep numpy's arithmetic and its rounding.
-    """
-    if exact:
-        return lambda v: v
-    return lambda v: v if isinstance(v, complex) else complex(v)
+    """The scalars of one arithmetic path: field elements as they are, or complex."""
+    return (lambda v: v) if exact else complex
 
 
 def _solve_linear(mat, rhs, exact: bool):
@@ -838,20 +837,12 @@ def inverse_z(
     else:
         terms = tuple(expansion)
         poly_part = Polynomial(())
-    scalar = _scalar_map(all(t.pole.exact for t in terms))
-    sides = []
-    for t in terms:
-        mod = t.pole.modulus()
-        if roc.r_out is not None and _le(roc.r_out, mod):
-            right = False
-        elif _le(mod, roc.r_in):
-            right = True
-        else:
-            raise InvalidRocError(
-                f"pole of modulus {mod} lies inside the annulus; "
-                "no sequence converges there"
-            )
-        sides.append((scalar(t.coefficient), scalar(t.pole.value), t.order, right))
+    exact = all(t.pole.exact for t in terms)
+    scalar = _scalar_map(exact)
+    sides = [
+        (scalar(t.coefficient), scalar(t.pole.value), t.order, _right_sided(t.pole.modulus(), roc))
+        for t in terms
+    ]
     poly = [scalar(c) for c in poly_part.coeffs]
     zero = scalar(QuadRational(0, 0, poly_part.radicand))
     values = []
@@ -865,6 +856,8 @@ def inverse_z(
             elif not right and n <= -m:
                 acc = acc - c * _binom_weight(n, m) * p ** n
         values.append(acc)
+    if not exact and not all(cmath.isfinite(v) for v in values):
+        raise OverflowError(f"numeric window [{n0}, {n1}] leaves float range")
     # A numeric window keeps the real part: conjugate pole pairs cancel the
     # imaginary rounding residue.
     return SequenceWindow(n0, values)

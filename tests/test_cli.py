@@ -58,12 +58,14 @@ def test_gen_negative_start_needs_the_closed_form_engine(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--engine", "doubling", "--start", "-5", "--count", "10"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fiblti gen ")
 
 
 def test_gen_rejects_empty_count(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--count", "0"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fiblti gen ")
 
 
 # ---------------------------------------------------------
@@ -169,18 +171,32 @@ def test_impz_inexact_window_is_marked(capsys):
 
 
 def test_impz_rejects_bad_roc_selector(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["impz", "--den", "1,-1,-1", "--roc", "sideways", "--from", "0", "--to", "3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["impz", "--den", "1,-1,-1", "--roc", "7", "--from", "0", "--to", "3"])
-    assert exc.value.code == 2
+    for roc in ("sideways", "7"):
+        with pytest.raises(SystemExit) as exc:
+            main(["impz", "--den", "1,-1,-1", "--roc", roc, "--from", "0", "--to", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fiblti impz ")
 
 
 def test_impz_rejects_reversed_window(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["impz", "--den", "1,-1,-1", "--from", "3", "--to", "0"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: fiblti impz ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    # The complex pole pair of modulus about 2.06 passes 1e308 near n = 1000.
+    ["--den", "1,-3/2,9/2,-2", "--from", "1020", "--to", "1030"],
+    # pole**n stays finite; the numerator's factor 1000 takes the sum past it.
+    ["--num", "1000", "--den", "1,-1,-1,-1", "--from", "1160", "--to", "1164"],
+])
+def test_impz_numeric_window_out_of_float_range_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, "impz", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "inf" not in err and "nan" not in err
 
 
 # ---------------------------------------------------------
@@ -370,20 +386,32 @@ def test_computation_errors_exit_one(capsys):
     assert "zero polynomial" in err
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["impz", "--den", "1,x", "--from", "0", "--to", "3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    for bad in (["--ratio-tol", "abc"], ["--ratio-tol", "0"], ["--forms", "-1"]):
+    capsys.readouterr()
+    for argv in (
+        ["impz", "--den", "1,x", "--from", "0", "--to", "3"],
+        ["props", "--nmax", "10", "--ratio-tol", "abc"],
+        ["props", "--nmax", "10", "--ratio-tol", "0"],
+        ["props", "--nmax", "10", "--forms", "-1"],
+        ["props", "--nmax", "0"],
+        ["gen", "--count", "0"],
+        ["impz", "--den", "1,-1,-1", "--from", "3", "--to", "0"],
+        ["impz", "--den", "1,-1,-1", "--roc", "sideways", "--from", "0", "--to", "3"],
+        ["cascade", "--den-a", "1,-1", "--den-b", "1,-1", "--impz", "3", "0"],
+        ["freqz", "--den", "1,-1", "--points", "1"],
+        ["step", "--to", "-1"],
+        ["minphase", "--to", "-1"],
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(["props", "--nmax", "10", *bad])
+            main(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"usage: fiblti {argv[0]} ")
 
 
 @pytest.mark.parametrize("module", ["fiblti", "fiblti.cli"])

@@ -155,6 +155,7 @@ def test_complex_poles_fall_back_to_numerics():
     for p in poles:
         assert abs(abs(p.as_complex()) - 1.0) < 1e-12
         assert abs(p.as_complex().real - 0.5) < 1e-12
+        assert type(p.value) is complex and type(p.modulus()) is float
 
 
 def test_numeric_cubic_poles():
@@ -244,6 +245,21 @@ def test_classify_flags_and_consistency_check():
     assert flags == (True, False)
     with pytest.raises(InvalidRocError):
         classify(Roc(Fraction(3, 10), Fraction(1), False, False), poles)
+
+
+def test_numeric_poles_sharing_a_circle_bound_one_region():
+    # H(z)H(-z) = 1/(1 - 3z^-2 + z^-4) has poles +-phi and +-1/phi, two per circle.
+    raw = RationalSystem([1], [1, 0, -3, 0, 1])
+    assert not any(p.exact for p in raw.poles())
+    ring = enumerate_rocs(raw.poles())[1]
+    assert classify(ring, raw.poles()) == (False, True)
+    got = inverse_z(partial_fractions(raw), ring, -5, 5)
+    exact = RationalSystem(
+        [1], raw.denominator, [Pole(v) for v in (PHI, -PHI, PHI.inv(), -PHI.inv())]
+    )
+    want = inverse_z(partial_fractions(exact), enumerate_rocs(exact.poles())[1], -5, 5)
+    scale = max(abs(float(v)) for v in want)
+    assert all(abs(g - float(w)) <= 1e-12 * scale for g, w in zip(got, want, strict=True))
 
 
 # ---------------------------------------------------------
