@@ -71,57 +71,50 @@ class InvalidRocError(ValueError):
     """The requested region of convergence is inconsistent with the poles."""
 
 
-def _lift(items: Iterable, d: int = 5) -> tuple[list[QuadRational], int]:
-    """Lift int/Fraction/QuadRational values into one quadratic field.
+_ZERO = QuadRational(0)
+_ONE = QuadRational(1)
 
-    The field is that of the first irrational value (default `d`); returns
-    the lifted values and the field's radicand.  Irrational values from two
+
+def _lift(items: Iterable) -> list[QuadRational]:
+    """Lift int/Fraction values to field elements.
+
+    A rational value belongs to every field; irrational values from two
     different fields raise FieldMismatchError.
     """
-    items = list(items)
     rad = None
+    lifted = []
     for v in items:
-        if isinstance(v, QuadRational) and not v.is_rational:
+        if not isinstance(v, QuadRational):
+            v = QuadRational(v)
+        elif not v.is_rational:
             if rad is None:
                 rad = v.d
             elif rad != v.d:
                 raise FieldMismatchError(f"values mix sqrt({rad}) and sqrt({v.d})")
-    rad = rad if rad is not None else d
-    lifted = []
-    for v in items:
-        if isinstance(v, QuadRational):
-            if v.is_rational and v.d != rad:
-                v = QuadRational(v.a, 0, rad)
-        else:
-            v = QuadRational(v, 0, rad)
         lifted.append(v)
-    return lifted, rad
+    return lifted
 
 
 class Polynomial:
     """A polynomial in z^-1: ``coeffs[k]`` multiplies z^-k.  Immutable, exact.
 
     Trailing zero coefficients are trimmed; the zero polynomial has an empty
-    coefficient tuple and degree -1.  Plain int/Fraction coefficients are
-    lifted into the field of the first irrational coefficient (default d).
+    coefficient tuple and degree -1.  Plain int/Fraction coefficients become
+    rational field elements, which belong to every field; the irrational
+    coefficients must all come from one field Q(sqrt(d)).
     """
 
-    __slots__ = ("_coeffs", "_d")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coefficient] = (), d: int = 5) -> None:
-        lifted, rad = _lift(coeffs, d)
+    def __init__(self, coeffs: Iterable[Coefficient] = ()) -> None:
+        lifted = _lift(coeffs)
         while lifted and not lifted[-1]:
             lifted.pop()
         self._coeffs = tuple(lifted)
-        self._d = rad
 
     @property
     def coeffs(self) -> tuple[QuadRational, ...]:
         return self._coeffs
-
-    @property
-    def radicand(self) -> int:
-        return self._d
 
     @property
     def degree(self) -> int:
@@ -139,7 +132,7 @@ class Polynomial:
         """The coefficient of z^-k (zero outside the stored range)."""
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
-        return QuadRational(0, 0, self._d)
+        return _ZERO
 
     def lead_delay(self) -> int | None:
         """Index of the first nonzero coefficient, or None for zero."""
@@ -152,18 +145,17 @@ class Polynomial:
         """Divide by z^-k; the dropped coefficients must all be zero."""
         if any(self._coeffs[:k]):
             raise ValueError(f"polynomial has no factor z^-{k}")
-        return Polynomial(self._coeffs[k:], d=self._d)
+        return Polynomial(self._coeffs[k:])
 
     def shifted(self, k: int) -> "Polynomial":
         """Multiply by z^-k."""
         if k < 0:
             raise ValueError(f"shift must be >= 0, got {k}")
-        zero = QuadRational(0, 0, self._d)
-        return Polynomial((zero,) * k + self._coeffs, d=self._d)
+        return Polynomial((_ZERO,) * k + self._coeffs)
 
     def evaluate(self, w: Coefficient) -> QuadRational:
         """Exact value at z^-1 = w, by Horner's scheme."""
-        acc = QuadRational(0, 0, self._d)
+        acc = _ZERO
         for c in reversed(self._coeffs):
             acc = acc * w + c
         return acc
@@ -190,16 +182,16 @@ class Polynomial:
         )
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs], d=self._d)
+        return Polynomial([-c for c in self._coeffs])
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, QuadRational)):
-            return Polynomial([c * other for c in self._coeffs], d=self._d)
+            return Polynomial([c * other for c in self._coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return Polynomial((), d=self._d)
-        out = [QuadRational(0, 0, self._d)] * (len(self._coeffs) + len(other._coeffs) - 1)
+            return Polynomial()
+        out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
         for i, ci in enumerate(self._coeffs):
             if not ci:
                 continue
@@ -211,7 +203,7 @@ class Polynomial:
 
     def __truediv__(self, scalar) -> "Polynomial":
         if isinstance(scalar, (int, Fraction)):
-            scalar = QuadRational(scalar, 0, self._d)
+            scalar = QuadRational(scalar)
         if not isinstance(scalar, QuadRational):
             return NotImplemented
         return self * scalar.inv()
@@ -224,10 +216,10 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         dn = other.degree
         if self.degree < dn:
-            return Polynomial((), d=self._d), self
+            return Polynomial(), self
         rem = list(self._coeffs)
         lead = other._coeffs[dn]
-        quot = [QuadRational(0, 0, self._d)] * (len(rem) - dn)
+        quot = [_ZERO] * (len(rem) - dn)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i] / lead
             quot[i - dn] = c
@@ -265,8 +257,8 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self._coeffs)}])"
 
 
-def _as_poly(p, d: int = 5) -> Polynomial:
-    return p if isinstance(p, Polynomial) else Polynomial(p, d=d)
+def _as_poly(p) -> Polynomial:
+    return p if isinstance(p, Polynomial) else Polynomial(p)
 
 
 def poly_mul(p, q) -> Polynomial:
@@ -279,12 +271,15 @@ class Pole:
     """A denominator root in the z plane with its multiplicity.
 
     `value` is an exact field element on the exact path, or a Python complex
-    from the numeric fallback (then ``exact`` is False).
+    from the numeric fallback; ``exact`` says which.
     """
 
     value: QuadRational | complex
     multiplicity: int = 1
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        return not isinstance(self.value, (float, complex))
 
     def modulus(self) -> QuadRational | float:
         return abs(self.value)
@@ -303,13 +298,22 @@ class Roc:
     """An open annulus r_in < |z| < r_out; ``r_out is None`` means unbounded.
 
     Radii are exact field elements on the exact path, floats otherwise.  The
-    causality/stability classification is attached by `enumerate_rocs`.
+    region is causal iff it reaches infinity and stable iff it holds the unit
+    circle; both are read off the radii.
     """
 
     r_in: QuadRational | float
     r_out: QuadRational | float | None
-    causal: bool
-    stable: bool
+
+    @property
+    def causal(self) -> bool:
+        return self.r_out is None
+
+    @property
+    def stable(self) -> bool:
+        return _cmp_modulus(self.r_in, 1) < 0 and (
+            self.r_out is None or _cmp_modulus(1, self.r_out) < 0
+        )
 
 
 class Classification(NamedTuple):
@@ -327,13 +331,7 @@ def classify(roc: Roc, poles: "Iterable[Pole] | None" = None) -> Classification:
     if poles is not None:
         for p in poles:
             _right_sided(p.modulus(), roc)
-    return _roc_tags(roc.r_in, roc.r_out)
-
-
-def _roc_tags(r_in, r_out) -> Classification:
-    """Causal iff the annulus reaches infinity; stable iff it holds |z| = 1."""
-    stable = _cmp_modulus(r_in, 1) < 0 and (r_out is None or _cmp_modulus(1, r_out) < 0)
-    return Classification(r_out is None, stable)
+    return Classification(roc.causal, roc.stable)
 
 
 def _cmp_modulus(a, b) -> int:
@@ -344,7 +342,7 @@ def _cmp_modulus(a, b) -> int:
     """
     if isinstance(a, float) or isinstance(b, float):
         a, b = float(a), float(b)
-        if abs(a - b) <= _MODULUS_TOL * max(1.0, a, b):
+        if abs(a - b) <= _MODULUS_TOL * max(a, b):
             return 0
     return (a > b) - (a < b)
 
@@ -370,20 +368,17 @@ class SequenceWindow:
     values keep their real part), reported by ``exact`` being False.
     """
 
-    __slots__ = ("_n0", "_values", "_exact", "_zero")
+    __slots__ = ("_n0", "_values", "_exact")
 
     def __init__(self, n0: int, values: Iterable) -> None:
         items = list(values)
         self._exact = not any(isinstance(v, (float, complex)) for v in items)
         if self._exact:
-            lifted, rad = _lift(items)
-            self._values = tuple(lifted)
-            self._zero = QuadRational(0, 0, rad)
+            self._values = tuple(_lift(items))
         else:
             self._values = tuple(
                 float(v.real if isinstance(v, complex) else v) for v in items
             )
-            self._zero = 0.0
         self._n0 = int(n0)
 
     @property
@@ -407,7 +402,7 @@ class SequenceWindow:
         i = n - self._n0
         if 0 <= i < len(self._values):
             return self._values[i]
-        return self._zero
+        return _ZERO if self._exact else 0.0
 
     def items(self):
         for i, v in enumerate(self._values):
@@ -489,7 +484,7 @@ class RationalSystem:
             poles = tuple(sorted(poles, key=_pole_sort_key))
             if not all(p.exact for p in poles):
                 raise ValueError("a stored pole multiset must be exact")
-            if _expand_factors(poles, den.radicand) != den:
+            if _expand_factors(poles) != den:
                 raise MalformedSystemError(
                     "factored pole multiset does not expand to the denominator"
                 )
@@ -543,9 +538,9 @@ class RationalSystem:
         return f"RationalSystem(num=[{self._num}], den=[{self._den}])"
 
 
-def _expand_factors(poles: Iterable[Pole], d: int) -> Polynomial:
+def _expand_factors(poles: Iterable[Pole]) -> Polynomial:
     factors = [(p.value, p.multiplicity) for p in poles]
-    return Polynomial(_term_basis(None, 0, factors, QuadRational(1, 0, d)), d=d)
+    return Polynomial(_term_basis(None, 0, factors, _ONE))
 
 
 def find_poles(den) -> list[Pole]:
@@ -565,7 +560,7 @@ def find_poles(den) -> list[Pole]:
     c = den.coeffs
     if deg == 1:
         # c0 + c1 w = 0 at w = 1/z, so z = -c1/c0.
-        return [Pole(-(c[1] / c[0]), 1, True)]
+        return [Pole(-(c[1] / c[0]))]
     if deg == 2:
         poles = _quadratic_poles(c)
         if poles is not None:
@@ -578,7 +573,7 @@ def _quadratic_poles(c) -> "list[Pole] | None":
     c0, c1, c2 = c
     disc = c1 * c1 - 4 * c0 * c2
     if not disc:
-        return [Pole(-(c1 / (2 * c0)), 2, True)]
+        return [Pole(-(c1 / (2 * c0)), 2)]
     if disc.is_rational:
         root = _rational_sqrt_any_field(disc.as_fraction())
     else:
@@ -591,7 +586,7 @@ def _quadratic_poles(c) -> "list[Pole] | None":
     except FieldMismatchError:
         # Discriminant root lives in a different field than the coefficients.
         return None
-    return sorted([Pole(p_plus, 1, True), Pole(p_minus, 1, True)], key=_pole_sort_key)
+    return sorted([Pole(p_plus), Pole(p_minus)], key=_pole_sort_key)
 
 
 def _rational_sqrt_any_field(x: Fraction) -> QuadRational | None:
@@ -601,7 +596,7 @@ def _rational_sqrt_any_field(x: Fraction) -> QuadRational | None:
     pq = x.numerator * x.denominator
     s, k = square_free_decompose(pq)
     if k == 1:
-        return QuadRational(Fraction(s, x.denominator), 0, 5)
+        return QuadRational(Fraction(s, x.denominator))
     return QuadRational(0, Fraction(s, x.denominator), k)
 
 
@@ -612,7 +607,7 @@ def _numeric_poles(den: Polynomial) -> list[Pole]:
     for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
         for cluster in clusters:
             ref = cluster[0]
-            if abs(z - ref) <= _NUMERIC_CLUSTER_TOL * max(1.0, abs(ref)):
+            if abs(z - ref) <= _NUMERIC_CLUSTER_TOL * abs(ref):
                 cluster.append(z)
                 break
         else:
@@ -621,14 +616,14 @@ def _numeric_poles(den: Polynomial) -> list[Pole]:
     poles = []
     for cluster in clusters:
         z = sum(cluster) / len(cluster)
-        if abs(z.imag) <= 1e-12 * max(1.0, abs(z.real)):
+        if abs(z.imag) <= 1e-12 * abs(z.real):
             z = complex(z.real, 0.0)
         residual = abs(_horner(coeffs, z)) / (scale * max(1.0, abs(z)) ** den.degree)
         if residual > _NUMERIC_RESIDUAL_TOL:
             raise ArithmeticError(
                 f"numeric root finder residual {residual:.3e} exceeds tolerance"
             )
-        poles.append(Pole(z, len(cluster), False))
+        poles.append(Pole(z, len(cluster)))
     return sorted(poles, key=_pole_sort_key)
 
 
@@ -658,20 +653,19 @@ def _polish_root(coeffs, z: complex) -> complex:
 def enumerate_rocs(poles: Iterable[Pole]) -> list[Roc]:
     """All open annuli bounded by pole moduli, innermost disc first.
 
-    k distinct moduli give k+1 regions; each is tagged causal (extends to
-    infinity) and stable (contains the unit circle).
+    k distinct moduli give k+1 regions, each with its derived causal and
+    stable tags.
     """
     poles = list(poles)
-    exact = all(p.exact for p in poles)
     moduli: list = []
     for p in poles:
         m = p.modulus()
         if not any(_cmp_modulus(m, seen) == 0 for seen in moduli):
             moduli.append(m)
     moduli.sort(key=float)
-    zero = QuadRational(0, 0, moduli[0].d if moduli else 5) if exact else 0.0
+    zero = _ZERO if all(p.exact for p in poles) else 0.0
     bounds = [zero, *moduli, None]
-    return [Roc(r_in, r_out, *_roc_tags(r_in, r_out)) for r_in, r_out in zip(bounds, bounds[1:])]
+    return [Roc(r_in, r_out) for r_in, r_out in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -689,20 +683,21 @@ class PartialFractionExpansion:
 
     terms: tuple[PartialFractionTerm, ...]
     poly_part: Polynomial
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return all(t.pole.exact for t in self.terms)
 
     def reconstruct(self) -> RationalSystem:
         """Recombine the expansion over the common denominator (exact only)."""
         if not self.exact:
             raise ValueError("cannot reconstruct exactly from numeric terms")
         poles = _collect_poles(self.terms)
-        d = self.poly_part.radicand
-        den = _expand_factors(poles, d)
+        den = _expand_factors(poles)
         num = self.poly_part * den
-        one = QuadRational(1, 0, d)
         factors = [(p.value, p.multiplicity) for p in poles]
         for t in self.terms:
-            basis = Polynomial(_term_basis(t.pole.value, t.order, factors, one), d=d)
+            basis = Polynomial(_term_basis(t.pole.value, t.order, factors, _ONE))
             num = num + basis * t.coefficient
         return RationalSystem(num, den, poles)
 
@@ -747,12 +742,9 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     quot, rem = divmod(sys.numerator, sys.denominator)
     total = sum(p.multiplicity for p in poles)
     assert total == sys.denominator.degree, "pole multiplicities disagree with degree"
-    if total == 0:
-        return PartialFractionExpansion((), quot, True)
-
     exact = all(p.exact for p in poles)
     scalar = _scalar_map(exact)
-    one = scalar(QuadRational(1, 0, sys.denominator.radicand))
+    one = scalar(_ONE)
     zero = one - one
     factors = [(scalar(p.value), p.multiplicity) for p in poles]
     columns = [(p, j) for p in poles for j in range(1, p.multiplicity + 1)]
@@ -764,7 +756,7 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     terms = tuple(
         PartialFractionTerm(p, j, coeff) for (p, j), coeff in zip(columns, sol)
     )
-    return PartialFractionExpansion(terms, quot, exact)
+    return PartialFractionExpansion(terms, quot)
 
 
 def _scalar_map(exact: bool):
@@ -844,20 +836,24 @@ def inverse_z(
         for t in terms
     ]
     poly = [scalar(c) for c in poly_part.coeffs]
-    zero = scalar(QuadRational(0, 0, poly_part.radicand))
+    zero = scalar(_ZERO)
     values = []
-    for n in range(n0, n1 + 1):
-        acc = zero
-        if 0 <= n < len(poly):
-            acc = acc + poly[n]
-        for c, p, m, right in sides:
-            if right and n >= 0:
-                acc = acc + c * _binom_weight(n, m) * p ** n
-            elif not right and n <= -m:
-                acc = acc - c * _binom_weight(n, m) * p ** n
-        values.append(acc)
+    out_of_range = f"numeric window [{n0}, {n1}] leaves float range"
+    try:
+        for n in range(n0, n1 + 1):
+            acc = zero
+            if 0 <= n < len(poly):
+                acc = acc + poly[n]
+            for c, p, m, right in sides:
+                if right and n >= 0:
+                    acc = acc + c * _binom_weight(n, m) * p ** n
+                elif not right and n <= -m:
+                    acc = acc - c * _binom_weight(n, m) * p ** n
+            values.append(acc)
+    except OverflowError:  # a float pole ** n; field arithmetic never overflows
+        raise OverflowError(out_of_range) from None
     if not exact and not all(cmath.isfinite(v) for v in values):
-        raise OverflowError(f"numeric window [{n0}, {n1}] leaves float range")
+        raise OverflowError(out_of_range)
     # A numeric window keeps the real part: conjugate pole pairs cancel the
     # imaginary rounding residue.
     return SequenceWindow(n0, values)
@@ -875,8 +871,8 @@ def reciprocal_system(sys: RationalSystem) -> RationalSystem:
     """
     num, den = sys.numerator, sys.denominator
     span = max(num.degree, den.degree, 0)
-    rnum = Polynomial([num.coefficient(span - i) for i in range(span + 1)], d=num.radicand)
-    rden = Polynomial([den.coefficient(span - i) for i in range(span + 1)], d=den.radicand)
+    rnum = Polynomial([num.coefficient(span - i) for i in range(span + 1)])
+    rden = Polynomial([den.coefficient(span - i) for i in range(span + 1)])
     delays = [p.lead_delay() for p in (rnum, rden) if p.lead_delay() is not None]
     shared = min(delays) if delays else 0
     if shared:
@@ -889,9 +885,7 @@ def reciprocal_system(sys: RationalSystem) -> RationalSystem:
         rnum = rnum.unshifted(own)
     poles = None
     if sys.pole_factors is not None:
-        poles = [
-            Pole(p.value.inv(), p.multiplicity, True) for p in sys.pole_factors
-        ]
+        poles = [Pole(p.value.inv(), p.multiplicity) for p in sys.pole_factors]
     flipped = RationalSystem(rnum, rden, poles)
     lead = flipped.numerator.lead_delay()
     if lead is not None and flipped.numerator.coefficient(lead).sign() < 0:
@@ -912,7 +906,7 @@ def cascade(a: RationalSystem, b: RationalSystem) -> RationalSystem:
         counts: dict = {}
         for p in (*pa, *pb):
             counts[p.value] = counts.get(p.value, 0) + p.multiplicity
-        poles = [Pole(v, m, True) for v, m in counts.items()]
+        poles = [Pole(v, m) for v, m in counts.items()]
         try:
             return RationalSystem(num, den, poles)
         except FieldMismatchError:

@@ -68,7 +68,7 @@ def simulate_difference_equation(sys: RationalSystem, x: Signal, n1: int) -> Seq
     n0 = x.n0
     ys: list[QuadRational] = []
     for n in range(n0, n1 + 1):
-        acc = QuadRational(0, 0, sys.denominator.radicand)
+        acc = QuadRational(0)
         for k, ck in enumerate(num):
             xv = x.value_at(n - k)
             if xv:

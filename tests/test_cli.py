@@ -197,6 +197,7 @@ def test_impz_numeric_window_out_of_float_range_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "inf" not in err and "nan" not in err
+    assert f"numeric window [{argv[-3]}, {argv[-1]}] leaves float range" in err
 
 
 # ---------------------------------------------------------

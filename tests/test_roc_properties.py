@@ -1,12 +1,17 @@
 # tests/test_roc_properties.py
-"""One modulus rule: numeric poles that share a circle bound one region.
+"""Region, inversion and expansion properties over drawn pole sets.
 
-Denominators are built from known rational poles and handed to the library
-raw, so their poles come from the numeric fallback.  Signed pairs such as
-+-1/2 put two numeric poles on one circle, and modulus 1 puts poles on the
-unit circle, where no region is stable.  Every region the numeric path
-lists must be accepted by `classify` and `inverse_z`, and its window must
-match the same denominator carrying its exact pole multiset.
+Numeric: denominators are built from known rational poles and handed to the
+library raw, so their poles come from the numeric fallback.  Signed pairs
+such as +-1/2 put two numeric poles on one circle, and modulus 1 puts poles
+on the unit circle, where no region is stable.  Every region the numeric
+path lists must be accepted by `classify` and `inverse_z`, and its window
+must match the same denominator carrying its exact pole multiset.
+
+Exact: systems carry a stored multiset of rational poles or poles from one
+field Q(sqrt(d)).  Their expansion must recombine to the system, the causal
+window must equal the simulated recursion, and every region's derived tags
+must agree with `classify`.
 """
 from fractions import Fraction
 
@@ -24,6 +29,7 @@ from fiblti.lti import (
     poly_mul,
 )
 from fiblti.qfield import QuadRational
+from fiblti.response import make_impulse, simulate_difference_equation
 
 MODULI = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2))
 # Each modulus enters with sign +, - or both (two poles on one circle), or not at all.
@@ -50,3 +56,37 @@ def test_every_numeric_region_matches_the_exact_poles(values):
         want = [float(v) for v in inverse_z(partial_fractions(exact), exact_roc, -6, 6)]
         scale = max(abs(v) for v in want)
         assert all(abs(g - w) <= 1e-9 * scale for g, w in zip(got, want, strict=True))
+
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def exact_systems(draw):
+    d = draw(st.sampled_from((2, 3, 5)))
+    irrational = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+    values = draw(st.lists(
+        st.builds(lambda a, b: QuadRational(a, b, d), SMALL, irrational).filter(bool),
+        min_size=1, max_size=3, unique=True,
+    ))
+    poles = [Pole(v, draw(st.integers(1, 2))) for v in values]
+    den = Polynomial([1])
+    for p in poles:
+        for _ in range(p.multiplicity):
+            den = poly_mul(den, [1, -p.value])
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any))
+    return RationalSystem(num, den, poles)
+
+
+@settings(derandomize=True, deadline=None)
+@given(exact_systems())
+def test_exact_systems_invert_recombine_and_classify(system):
+    expansion = partial_fractions(system)
+    assert expansion.exact
+    assert expansion.reconstruct() == system
+    rocs = enumerate_rocs(system.poles())
+    assert inverse_z(expansion, rocs[-1], 0, 12) == simulate_difference_equation(
+        system, make_impulse(), 12
+    )
+    for roc in rocs:
+        assert (roc.causal, roc.stable) == classify(roc, system.poles())
