@@ -462,7 +462,8 @@ class RationalSystem:
     The denominator is normalized so its constant term is 1.  A factored pole
     multiset is attached when an exact factorization is known (degree <= 2
     denominators factor automatically; `cascade` merges factorizations); its
-    expansion is verified against the denominator at construction.
+    int/Fraction pole values are lifted to field elements, and its expansion
+    is verified against the denominator at construction.
     """
 
     __slots__ = ("_num", "_den", "_poles")
@@ -481,9 +482,11 @@ class RationalSystem:
         self._num = num
         self._den = den
         if poles is not None:
-            poles = tuple(sorted(poles, key=_pole_sort_key))
+            poles = tuple(poles)
             if not all(p.exact for p in poles):
                 raise ValueError("a stored pole multiset must be exact")
+            lifted = zip(_lift(p.value for p in poles), (p.multiplicity for p in poles))
+            poles = tuple(sorted((Pole(v, m) for v, m in lifted), key=_pole_sort_key))
             if _expand_factors(poles) != den:
                 raise MalformedSystemError(
                     "factored pole multiset does not expand to the denominator"
@@ -807,10 +810,7 @@ def _binom_weight(n: int, m: int) -> int:
 
 
 def inverse_z(
-    expansion: "PartialFractionExpansion | Iterable[PartialFractionTerm]",
-    roc: Roc,
-    n0: int,
-    n1: int,
+    expansion: PartialFractionExpansion, roc: Roc, n0: int, n1: int
 ) -> SequenceWindow:
     """Inverse transform on the window [n0, n1] for one region of convergence.
 
@@ -820,39 +820,35 @@ def inverse_z(
     -coefficient * C(n+m-1, m-1) * pole^n for n <= -m.  A pole strictly
     inside the annulus makes the region invalid.  The finite polynomial part
     contributes at its literal delays.
+
+    Each term raises its pole once, at the end of its stretch nearest n = 0,
+    and steps away from there by the pole (up) or its inverse (down), so a
+    float power only shrinks: stepped up from a far negative n0 it would
+    start from an underflowed 0.
     """
     if n1 < n0:
         raise ValueError(f"empty window [{n0}, {n1}]")
-    if isinstance(expansion, PartialFractionExpansion):
-        terms = expansion.terms
-        poly_part = expansion.poly_part
-    else:
-        terms = tuple(expansion)
-        poly_part = Polynomial(())
-    exact = all(t.pole.exact for t in terms)
-    scalar = _scalar_map(exact)
-    sides = [
-        (scalar(t.coefficient), scalar(t.pole.value), t.order, _right_sided(t.pole.modulus(), roc))
-        for t in terms
-    ]
-    poly = [scalar(c) for c in poly_part.coeffs]
+    scalar = _scalar_map(expansion.exact)
     zero = scalar(_ZERO)
-    values = []
+    poly = [scalar(c) for c in expansion.poly_part.coeffs]
+    values = [poly[n] if 0 <= n < len(poly) else zero for n in range(n0, n1 + 1)]
     out_of_range = f"numeric window [{n0}, {n1}] leaves float range"
     try:
-        for n in range(n0, n1 + 1):
-            acc = zero
-            if 0 <= n < len(poly):
-                acc = acc + poly[n]
-            for c, p, m, right in sides:
-                if right and n >= 0:
-                    acc = acc + c * _binom_weight(n, m) * p ** n
-                elif not right and n <= -m:
-                    acc = acc - c * _binom_weight(n, m) * p ** n
-            values.append(acc)
+        for t in expansion.terms:
+            c, p, m = scalar(t.coefficient), scalar(t.pole.value), t.order
+            if _right_sided(t.pole.modulus(), roc):
+                ns, step = range(max(n0, 0), n1 + 1), p
+            else:
+                ns, step, c = range(min(n1, -m), n0 - 1, -1), scalar(_ONE) / p, -c
+            if not ns:
+                continue
+            power = p ** ns[0]
+            for n in ns:
+                values[n - n0] = values[n - n0] + c * _binom_weight(n, m) * power
+                power = power * step
     except OverflowError:  # a float pole ** n; field arithmetic never overflows
         raise OverflowError(out_of_range) from None
-    if not exact and not all(cmath.isfinite(v) for v in values):
+    if not expansion.exact and not all(cmath.isfinite(v) for v in values):
         raise OverflowError(out_of_range)
     # A numeric window keeps the real part: conjugate pole pairs cancel the
     # imaginary rounding residue.

@@ -2,8 +2,8 @@
 
 Time-domain paths are exact: the difference-equation simulator runs the
 recursion with field coefficients, `convolve` is exact finite convolution,
-and the closed forms evaluate in Q(sqrt(5)) and cross-check themselves
-against the recursion.  The frequency side is a formal evaluation of the
+and the closed forms are `inverse_z` pole sums in Q(sqrt(5)) over the
+expansions of their systems.  The frequency side is a formal evaluation of the
 coefficient polynomials on the unit circle, computed in floats on a uniform
 [0, pi] grid; it deliberately ignores whether any region of convergence
 actually contains the circle, and says so in its metadata.
@@ -16,9 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fib import fib_recursive
-from .lti import RationalSystem, SequenceWindow
-from .qfield import GOLDEN_RATIO, GOLDEN_RATIO_CONJUGATE, QuadRational
+from .lti import (
+    RationalSystem,
+    SequenceWindow,
+    accumulator_system,
+    cascade,
+    enumerate_rocs,
+    fibonacci_system,
+    inverse_z,
+    min_phase_system,
+    partial_fractions,
+)
+from .qfield import QuadRational
 
 __all__ = [
     "Signal",
@@ -95,33 +104,25 @@ def convolve(x: SequenceWindow, h: SequenceWindow) -> SequenceWindow:
     return SequenceWindow(x.n0 + h.n0, out)
 
 
-def step_response_closed_form(n1: int) -> SequenceWindow:
-    """Step response A phi^n + B phi~^n - 1, exact in Q(sqrt(5)).
-
-    A = (2 phi + 1)/(2 phi - 1) and B = 1/(4 phi + 3); every value is
-    asserted equal to f(n+3) - 1 from the recursion before it is returned.
-    """
+def _causal_impulse_response(sys: RationalSystem, n1: int) -> SequenceWindow:
     if n1 < 0:
         raise ValueError(f"n1 must be >= 0, got {n1}")
-    phi = GOLDEN_RATIO
-    psi = GOLDEN_RATIO_CONJUGATE
-    grow = (2 * phi + 1) / (2 * phi - 1)
-    decay = 1 / (4 * phi + 3)
-    fibs = [v.value for v in fib_recursive(0, n1 + 4)]
-    values = []
-    for n in range(n1 + 1):
-        v = grow * phi ** n + decay * psi ** n - 1
-        assert v == fibs[n + 3] - 1, "closed-form step response lost exactness"
-        values.append(v)
-    return SequenceWindow(0, values)
+    causal = enumerate_rocs(sys.poles())[-1]
+    return inverse_z(partial_fractions(sys), causal, 0, n1)
+
+
+def step_response_closed_form(n1: int) -> SequenceWindow:
+    """Step response A phi^n + B phi~^n - 1 = f(n+3) - 1 on [0, n1], exact.
+
+    The causal pole sum of the Fibonacci system cascaded with the accumulator,
+    whose residues are A = (2 phi + 1)/(2 phi - 1), B = 1/(4 phi + 3) and -1.
+    """
+    return _causal_impulse_response(cascade(fibonacci_system(), accumulator_system()), n1)
 
 
 def min_phase_impulse(n1: int) -> SequenceWindow:
-    """Impulse response -n phi^-n of the minimum-phase system, exact."""
-    if n1 < 0:
-        raise ValueError(f"n1 must be >= 0, got {n1}")
-    inv_phi = GOLDEN_RATIO.inv()
-    return SequenceWindow(0, [(-n) * inv_phi ** n for n in range(n1 + 1)])
+    """Impulse response -n phi^-n of `min_phase_system` on [0, n1]: its causal pole sum."""
+    return _causal_impulse_response(min_phase_system(), n1)
 
 
 @dataclass(frozen=True, eq=False)

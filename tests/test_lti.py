@@ -450,6 +450,20 @@ def test_numeric_inverse_matches_exact_simulation():
         assert got == pytest.approx(float(ref), abs=1e-9)
 
 
+def test_numeric_anticausal_window_steps_down_without_underflow():
+    # 2**-1100 underflows to 0.0, so a pole power stepped up from n0 = -1100
+    # would zero the window; stepped down from n = -1 it only shrinks.
+    values = (2, 3, Fraction(-5, 2))
+    den = poly_mul(poly_mul([1, -values[0]], [1, -values[1]]), [1, -values[2]])
+    raw = RationalSystem([1], den)
+    exact = RationalSystem([1], den, [Pole(QuadRational(v)) for v in values])
+    assert not any(p.exact for p in raw.poles())
+    got = inverse_z(partial_fractions(raw), enumerate_rocs(raw.poles())[0], -1100, -1)
+    want = inverse_z(partial_fractions(exact), enumerate_rocs(exact.poles())[0], -1100, -1)
+    scale = max(abs(float(v)) for v in want)
+    assert all(abs(g - float(w)) <= 1e-12 * scale for g, w in zip(got, want, strict=True))
+
+
 # ---------------------------------------------------------
 # Reciprocal systems
 # ---------------------------------------------------------
@@ -474,6 +488,15 @@ def test_reciprocal_strips_pure_delay():
 def test_reciprocal_pole_inversion():
     flipped = reciprocal_system(min_phase_system())
     assert [(p.value, p.multiplicity) for p in flipped.poles()] == [(PHI, 2)]
+
+
+@pytest.mark.parametrize("value", [2, Fraction(2)])
+def test_rational_pole_values_are_stored_as_field_elements(value):
+    sys_ = RationalSystem([1], [1, -2], [Pole(value)])
+    assert isinstance(sys_.pole_factors[0].value, QuadRational)
+    flipped = reciprocal_system(sys_)
+    assert flipped == RationalSystem([Fraction(1, 2)], [1, Fraction(-1, 2)])
+    assert flipped.pole_factors == (Pole(QuadRational(Fraction(1, 2))),)
 
 
 def test_reciprocal_without_causal_form_is_rejected():

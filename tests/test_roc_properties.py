@@ -11,8 +11,11 @@ must match the same denominator carrying its exact pole multiset.
 Exact: systems carry a stored multiset of rational poles or poles from one
 field Q(sqrt(d)).  Their expansion must recombine to the system, the causal
 window must equal the simulated recursion, and every region's derived tags
-must agree with `classify`.
+must agree with `classify`.  On every region, `inverse_z` (which steps each
+pole power from the window edge) must equal the pole sum evaluated sample by
+sample with a fresh power each time.
 """
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -62,14 +65,14 @@ SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
 @st.composite
-def exact_systems(draw):
+def exact_systems(draw, max_multiplicity=2):
     d = draw(st.sampled_from((2, 3, 5)))
     irrational = st.fractions(min_value=-1, max_value=1, max_denominator=2)
     values = draw(st.lists(
         st.builds(lambda a, b: QuadRational(a, b, d), SMALL, irrational).filter(bool),
         min_size=1, max_size=3, unique=True,
     ))
-    poles = [Pole(v, draw(st.integers(1, 2))) for v in values]
+    poles = [Pole(v, draw(st.integers(1, max_multiplicity))) for v in values]
     den = Polynomial([1])
     for p in poles:
         for _ in range(p.multiplicity):
@@ -90,3 +93,35 @@ def test_exact_systems_invert_recombine_and_classify(system):
     )
     for roc in rocs:
         assert (roc.causal, roc.stable) == classify(roc, system.poles())
+
+
+# Windows straddling 0, wholly negative, ending between -m and 0 for m = 2, 3,
+# and wholly on the far side of right-sided (negative) or left-sided terms.
+WINDOWS = ((-5, 5), (-9, -4), (-6, -2), (-4, -1), (-1, 5), (2, 8))
+
+
+def pole_sum(expansion, roc, n0, n1):
+    """Each sample of the inverse as its own sum over the terms."""
+    terms = [(t.coefficient, t.pole.value, t.order, abs(t.pole.value) <= roc.r_in)
+             for t in expansion.terms]
+    values = []
+    for n in range(n0, n1 + 1):
+        acc = expansion.poly_part.coefficient(n) if n >= 0 else 0
+        for c, p, m, right in terms:
+            if right and n >= 0:
+                acc += c * math.comb(n + m - 1, m - 1) * p**n
+            elif not right and n <= -m:
+                # C(n+m-1, m-1) = (-1)^(m-1) C(-n-1, m-1) for negative n + m - 1.
+                acc -= c * (-1) ** (m - 1) * math.comb(-n - 1, m - 1) * p**n
+        values.append(acc)
+    return values
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(exact_systems(max_multiplicity=3))
+def test_every_exact_region_matches_the_per_sample_pole_sum(system):
+    expansion = partial_fractions(system)
+    for roc in enumerate_rocs(system.poles()):
+        for n0, n1 in WINDOWS:
+            got = inverse_z(expansion, roc, n0, n1)
+            assert list(got.values) == pole_sum(expansion, roc, n0, n1)
