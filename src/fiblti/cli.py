@@ -51,12 +51,9 @@ _INEXACT_MARK = "# inexact: numeric pole fallback, values are floats"
 
 def _coeff_list(text: str) -> list[Fraction]:
     try:
-        items = [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}")
-    if not items:
-        raise argparse.ArgumentTypeError(f"empty coefficient list {text!r}")
-    return items
 
 
 def _positive_tol(text: str) -> str:

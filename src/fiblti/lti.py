@@ -5,9 +5,10 @@ Transfer functions are ratios of polynomials in z^-1 with exact coefficients
 rationals or over a real quadratic field; higher degrees keep exactness only
 when a factored pole multiset is carried along (as `cascade` does) and
 otherwise fall back to a numeric root finder.  Regions of convergence are open
-annuli between pole moduli, and the inverse transform is computed per
-partial-fraction term as a right- or left-sided sequence depending on which
-side of the annulus the pole lies.
+annuli between pole moduli.  Partial-fraction residues come from the cover-up
+rule, each pole's from its own cofactor, and the inverse transform is computed
+per term as a right- or left-sided sequence depending on which side of the
+annulus the pole lies.
 """
 
 from __future__ import annotations
@@ -462,8 +463,10 @@ class RationalSystem:
     The denominator is normalized so its constant term is 1.  A factored pole
     multiset is attached when an exact factorization is known (degree <= 2
     denominators factor automatically; `cascade` merges factorizations); its
-    int/Fraction pole values are lifted to field elements, and its expansion
-    is verified against the denominator at construction.
+    int/Fraction pole values are lifted to field elements, equal values merge
+    into one pole whose multiplicities add, and its expansion is verified
+    against the denominator at construction.  Poles are found once per system:
+    at construction up to degree 2, else numerically on first use.
     """
 
     __slots__ = ("_num", "_den", "_poles")
@@ -485,17 +488,16 @@ class RationalSystem:
             poles = tuple(poles)
             if not all(p.exact for p in poles):
                 raise ValueError("a stored pole multiset must be exact")
-            lifted = zip(_lift(p.value for p in poles), (p.multiplicity for p in poles))
-            poles = tuple(sorted((Pole(v, m) for v, m in lifted), key=_pole_sort_key))
+            counts: dict = {}
+            for value, pole in zip(_lift(p.value for p in poles), poles):
+                counts[value] = counts.get(value, 0) + pole.multiplicity
+            poles = tuple(sorted((Pole(v, m) for v, m in counts.items()), key=_pole_sort_key))
             if _expand_factors(poles) != den:
                 raise MalformedSystemError(
                     "factored pole multiset does not expand to the denominator"
                 )
-        elif den.degree == 0:
-            poles = ()
         elif den.degree <= 2:
-            found = find_poles(den)
-            poles = tuple(found) if all(p.exact for p in found) else None
+            poles = tuple(find_poles(den))
         self._poles = poles
 
     @property
@@ -508,18 +510,19 @@ class RationalSystem:
 
     @property
     def pole_factors(self) -> "tuple[Pole, ...] | None":
-        """The stored exact pole multiset, or None if not known."""
-        return self._poles
+        """The exact pole multiset, or None if not known."""
+        poles = self._poles
+        return poles if poles is not None and all(p.exact for p in poles) else None
 
     @property
     def order(self) -> int:
         return self._den.degree
 
     def poles(self) -> tuple[Pole, ...]:
-        """Exact poles when known, else the numeric fallback's."""
-        if self._poles is not None:
-            return self._poles
-        return tuple(find_poles(self._den))
+        """Exact poles when known, else the numeric fallback's (found once)."""
+        if self._poles is None:
+            self._poles = tuple(find_poles(self._den))
+        return self._poles
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalSystem):
@@ -716,10 +719,9 @@ def _term_basis(value, order: int, factors, one) -> list:
     """Coefficients in z^-1 of all pole factors except (1 - value z^-1)^order.
 
     `factors` holds (pole value, multiplicity) pairs and `one` is the unit,
-    both of one scalar kind: exact field elements or complex floats.
-    Multiplying a term of that pole and order by the common denominator
-    leaves exactly this polynomial, which is what the coefficient-matching
-    solve uses.
+    both of one scalar kind: exact field elements or complex floats.  With
+    the pole's full multiplicity as `order` this is the pole's cofactor Q in
+    D = (1 - value z^-1)^order * Q.
     """
     zero = one - one
     prod = [one]
@@ -734,71 +736,53 @@ def _term_basis(value, order: int, factors, one) -> list:
     return prod
 
 
+def _series_at_pole(coeffs, inv, m: int, zero) -> list:
+    """First m Taylor coefficients in u = 1 - p z^-1 of a polynomial in z^-1.
+
+    Horner's scheme at z^-1 = (1 - u) * inv with inv = 1/p, truncated to m terms.
+    """
+    out = [zero] * m
+    for c in reversed(coeffs):
+        out = [out[0] * inv + c] + [(out[i] - out[i - 1]) * inv for i in range(1, m)]
+    return out
+
+
 def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     """Expand N/D into first- and higher-order pole terms plus a finite part.
 
-    Long division first brings the numerator degree below the denominator's;
-    the residues then solve an exact linear system by coefficient matching
-    (complex floats on the numeric-pole path).
+    Long division first leaves a remainder R of degree below D's.  Each pole
+    p of multiplicity m then gets its residues by the cover-up rule: with
+    D = (1 - p z^-1)^m * Q, the coefficients of orders m, m-1, ..., 1 are the
+    first m Taylor coefficients of R/Q in u = 1 - p z^-1 at u = 0.  Exact and
+    numeric (complex) poles share this one computation.
     """
     poles = sys.poles()
     quot, rem = divmod(sys.numerator, sys.denominator)
     total = sum(p.multiplicity for p in poles)
     assert total == sys.denominator.degree, "pole multiplicities disagree with degree"
-    exact = all(p.exact for p in poles)
-    scalar = _scalar_map(exact)
+    scalar = _scalar_map(all(p.exact for p in poles))
     one = scalar(_ONE)
     zero = one - one
+    num = [scalar(c) for c in rem.coeffs]
     factors = [(scalar(p.value), p.multiplicity) for p in poles]
-    columns = [(p, j) for p in poles for j in range(1, p.multiplicity + 1)]
-    basis = [_term_basis(scalar(p.value), j, factors, one) for p, j in columns]
-    mat = [[b[i] if i < len(b) else zero for b in basis] for i in range(total)]
-    rhs = [scalar(rem.coefficient(i)) for i in range(total)]
-    sol = _solve_linear(mat, rhs, exact)
-
-    terms = tuple(
-        PartialFractionTerm(p, j, coeff) for (p, j), coeff in zip(columns, sol)
-    )
-    return PartialFractionExpansion(terms, quot)
+    terms = []
+    for pole, (p, m) in zip(poles, factors):
+        inv = one / p
+        r = _series_at_pole(num, inv, m, zero)
+        q = _series_at_pole(_term_basis(p, m, factors, one), inv, m, zero)
+        series = []
+        for k in range(m):
+            acc = r[k]
+            for i in range(1, k + 1):
+                acc = acc - q[i] * series[k - i]
+            series.append(acc / q[0])
+        terms += [PartialFractionTerm(pole, j, series[m - j]) for j in range(1, m + 1)]
+    return PartialFractionExpansion(tuple(terms), quot)
 
 
 def _scalar_map(exact: bool):
     """The scalars of one arithmetic path: field elements as they are, or complex."""
     return (lambda v: v) if exact else complex
-
-
-def _solve_linear(mat, rhs, exact: bool):
-    """Gaussian elimination; exact pivots pick the first nonzero entry."""
-    n = len(rhs)
-    mat = [row[:] for row in mat]
-    rhs = rhs[:]
-    for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if mat[r][col]), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(mat[r][col]), default=None)
-            if piv is not None and abs(mat[piv][col]) == 0.0:
-                piv = None
-        if piv is None:
-            raise ArithmeticError(
-                "singular residue system; pole multiplicities are inconsistent"
-            )
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                factor = mat[r][col] / mat[col][col]
-                rhs[r] = rhs[r] - factor * rhs[col]
-                for k in range(col, n):
-                    mat[r][k] = mat[r][k] - factor * mat[col][k]
-    sol = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        for j in range(i + 1, n):
-            acc = acc - mat[i][j] * sol[j]
-        sol[i] = acc / mat[i][i]
-    return sol
 
 
 def _binom_weight(n: int, m: int) -> int:
@@ -899,12 +883,8 @@ def cascade(a: RationalSystem, b: RationalSystem) -> RationalSystem:
     den = a.denominator * b.denominator
     pa, pb = a.pole_factors, b.pole_factors
     if pa is not None and pb is not None:
-        counts: dict = {}
-        for p in (*pa, *pb):
-            counts[p.value] = counts.get(p.value, 0) + p.multiplicity
-        poles = [Pole(v, m) for v, m in counts.items()]
         try:
-            return RationalSystem(num, den, poles)
+            return RationalSystem(num, den, (*pa, *pb))
         except FieldMismatchError:
             pass
     return RationalSystem(num, den)

@@ -397,6 +397,8 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     for argv in (
         ["impz", "--den", "1,x", "--from", "0", "--to", "3"],
+        ["analyze", "--den", "1,,-1"],
+        ["analyze", "--den", "1,-1,-1,"],
         ["props", "--nmax", "10", "--ratio-tol", "abc"],
         ["props", "--nmax", "10", "--ratio-tol", "0"],
         ["props", "--nmax", "10", "--forms", "-1"],

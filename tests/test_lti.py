@@ -205,6 +205,30 @@ def test_constant_system_has_no_poles():
     assert rocs[0].causal and rocs[0].stable
 
 
+def test_equal_stored_pole_values_merge_into_one_pole():
+    sys_ = RationalSystem([1], [1, -4, 4], [Pole(2), Pole(2)])
+    assert sys_.poles() == (Pole(2, 2),)
+    coeffs = {t.order: t.coefficient for t in partial_fractions(sys_).terms}
+    assert coeffs == {1: 0, 2: 1}
+
+
+def test_poles_are_found_once_per_system(monkeypatch):
+    import fiblti.lti as lti
+
+    calls = []
+
+    def counted(den):
+        calls.append(den)
+        return find_poles(den)
+
+    monkeypatch.setattr(lti, "find_poles", counted)
+    sys_ = RationalSystem([1], [1, Fraction(-13, 12), Fraction(3, 8), Fraction(-1, 24)])
+    sys_.poles()
+    sys_.poles()
+    partial_fractions(sys_)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------
 # Regions of convergence
 # ---------------------------------------------------------
@@ -448,6 +472,19 @@ def test_numeric_inverse_matches_exact_simulation():
     sim = simulate_difference_equation(sys_, make_impulse(), 30)
     for (n, got), (_, ref) in zip(win.items(), sim.items()):
         assert got == pytest.approx(float(ref), abs=1e-9)
+
+
+def test_numeric_residues_survive_pole_zero_cancellation():
+    # The numerator -4 - 2z^-1 vanishes at the pole -1/2, whose residue is 0.
+    values = (Fraction(-1, 2), Fraction(-2, 3), 1, Fraction(-5, 4), 2)
+    den = [1, Fraction(-7, 12), Fraction(-83, 24), Fraction(-1, 8), Fraction(7, 3), Fraction(5, 6)]
+    raw = RationalSystem([-4, -2], den)
+    exact = RationalSystem([-4, -2], den, [Pole(v) for v in values])
+    assert not any(p.exact for p in raw.poles())
+    got = inverse_z(partial_fractions(raw), enumerate_rocs(raw.poles())[0], -40, 0)
+    want = inverse_z(partial_fractions(exact), enumerate_rocs(exact.poles())[0], -40, 0)
+    scale = max(abs(float(v)) for v in want)
+    assert all(abs(g - float(w)) <= 1e-12 * scale for g, w in zip(got, want, strict=True))
 
 
 def test_numeric_anticausal_window_steps_down_without_underflow():
