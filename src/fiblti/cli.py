@@ -17,8 +17,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .fib import (
     appendix_forms_equal,
     check_identities,
@@ -96,10 +94,13 @@ def _read_signal(path: str) -> Signal:
             parts = text.split(",")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'index,value'")
-            n = int(parts[0])
+            try:
+                n, value = int(parts[0]), Fraction(parts[1])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if n in entries:
                 raise ValueError(f"{path}:{lineno}: duplicate index {n}")
-            entries[n] = Fraction(parts[1])
+            entries[n] = value
     if not entries:
         raise ValueError(f"{path}: no samples found")
     n0, n1 = min(entries), max(entries)
@@ -240,6 +241,8 @@ def _cmd_impz(args, parser) -> str:
 
 
 def _cmd_freqz(args, parser) -> str:
+    import numpy as np
+
     sys_ = _system(args)
     grid = freq_response(sys_, args.points)
     if args.features:
@@ -450,13 +453,13 @@ def main(argv=None) -> int:
     try:
         # Usage errors found after parsing go to the subcommand's own parser.
         text = args.handler(args, args.parser)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (ValueError, ZeroDivisionError, ArithmeticError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

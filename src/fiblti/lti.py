@@ -4,11 +4,12 @@ Transfer functions are ratios of polynomials in z^-1 with exact coefficients
 (see `qfield`).  Denominators of degree <= 2 factor exactly, either over the
 rationals or over a real quadratic field; higher degrees keep exactness only
 when a factored pole multiset is carried along (as `cascade` does) and
-otherwise fall back to a numeric root finder.  Regions of convergence are open
-annuli between pole moduli.  Partial-fraction residues come from the cover-up
-rule, each pole's from its own cofactor, and the inverse transform is computed
-per term as a right- or left-sided sequence depending on which side of the
-annulus the pole lies.
+otherwise fall back to a numeric root finder (`np.roots`; numpy is imported
+inside `_numeric_poles`, the only place that uses it).  Regions of
+convergence are open annuli between pole moduli.  Partial-fraction residues
+come from the cover-up rule, each pole's from its own cofactor, and the
+inverse transform is computed per term as a right- or left-sided sequence
+depending on which side of the annulus the pole lies.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
-
-import numpy as np
 
 from .qfield import (
     FieldMismatchError,
@@ -607,6 +606,8 @@ def _rational_sqrt_any_field(x: Fraction) -> QuadRational | None:
 
 
 def _numeric_poles(den: Polynomial) -> list[Pole]:
+    import numpy as np
+
     coeffs = den.float_coeffs()  # z-polynomial, highest power of z first
     roots = [_polish_root(coeffs, complex(z)) for z in np.roots(coeffs)]
     clusters: list[list[complex]] = []

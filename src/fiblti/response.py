@@ -6,15 +6,16 @@ and the closed forms are `inverse_z` pole sums in Q(sqrt(5)) over the
 expansions of their systems.  The frequency side is a formal evaluation of the
 coefficient polynomials on the unit circle, computed in floats on a uniform
 [0, pi] grid; it deliberately ignores whether any region of convergence
-actually contains the circle, and says so in its metadata.
+actually contains the circle, and says so in its metadata.  Only the
+frequency-side functions use numpy, and each imports it itself, so the
+time-domain paths run without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lti import (
     RationalSystem,
@@ -28,6 +29,9 @@ from .lti import (
     partial_fractions,
 )
 from .qfield import QuadRational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Signal",
@@ -143,6 +147,8 @@ class FrequencyGrid:
 
 
 def _eval_on_circle(poly, omegas: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     coeffs = poly.float_coeffs()
     if not coeffs:
         return np.zeros(len(omegas), dtype=complex)
@@ -152,6 +158,8 @@ def _eval_on_circle(poly, omegas: np.ndarray) -> np.ndarray:
 
 def freq_response(sys: RationalSystem, points: int = 512) -> FrequencyGrid:
     """Formal frequency response H(e^jw) on `points` samples of [0, pi]."""
+    import numpy as np
+
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     omegas = np.linspace(0.0, math.pi, points)
@@ -186,6 +194,8 @@ def compare_magnitudes(a: RationalSystem, b: RationalSystem, points: int = 512) 
     Reports the maximum absolute difference and the span of |A|/|B| over the
     grid points where both are finite and |B| is nonzero.
     """
+    import numpy as np
+
     ga = freq_response(a, points)
     gb = freq_response(b, points)
     ok = np.isfinite(ga.magnitude) & np.isfinite(gb.magnitude) & (gb.magnitude > 0)
@@ -209,6 +219,8 @@ def fibonacci_magnitude_law(omegas) -> np.ndarray:
     Follows from e^jw D(e^jw) = 2j sin(w) - 1 for D(w) = 1 - z^-1 - z^-2 on
     the unit circle, so |D|^2 = 1 + 4 sin^2 w.
     """
+    import numpy as np
+
     omegas = np.asarray(omegas, dtype=float)
     return 1.0 / np.sqrt(1.0 + 4.0 * np.sin(omegas) ** 2)
 

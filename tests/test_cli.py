@@ -266,12 +266,19 @@ def test_respond_rejects_missing_file(capsys):
     assert err.startswith("error:")
 
 
-def test_respond_rejects_malformed_lines(tmp_path, capsys):
+@pytest.mark.parametrize("line, detail", [
+    ("0;1", "expected 'index,value'"),
+    ("x,2", "invalid literal for int()"),
+    ("2,abc", "Invalid literal for Fraction"),
+    ("2,1/0", "Fraction(1, 0)"),
+], ids=["separator", "index", "value", "zero-denominator"])
+def test_respond_rejects_malformed_lines(tmp_path, capsys, line, detail):
     path = tmp_path / "signal.txt"
-    path.write_text("0;1\n")
+    path.write_text(f"# header\n{line}\n")
     code, _, err = run_cli(capsys, "respond", "--input", str(path), "--to", "3")
     assert code == 1
-    assert "expected" in err
+    assert err.startswith(f"error: {path}:2: ")
+    assert detail in err
 
 
 def test_respond_rejects_empty_file(tmp_path, capsys):
@@ -371,6 +378,16 @@ def test_out_flag_writes_the_file_instead_of_stdout(tmp_path, capsys):
     assert target.read_text() == "0\n1\n1\n2\n3\n"
 
 
+def test_out_flag_to_an_unwritable_path_exits_one(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "listing.txt"
+    code, out, err = run_cli(
+        capsys, "impz", "--den", "1,-1,-1", "--from", "0", "--to", "3", "--out", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ")
+
+
 def test_output_is_deterministic(capsys):
     runs = set()
     for _ in range(2):
@@ -426,3 +443,39 @@ def test_module_entry_point_runs_as_a_process(module):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1] == "55"
+
+
+# The test modules import numpy themselves, so each command runs in a fresh
+# interpreter that reports afterwards whether numpy was loaded.
+_NUMPY_PROBE = """
+import json, sys
+from fiblti.cli import main
+argv = json.loads(sys.argv[1])
+code = main(argv) if argv else 0
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ([], False),
+    (["gen", "--count", "5"], False),
+    (["step", "--to", "8"], False),
+    (["minphase", "--to", "5"], False),
+    (["props", "--nmax", "20"], False),
+    (["impz", "--den", "1,-1,-1", "--from", "0", "--to", "5"], False),
+    (["analyze", "--den", "1,-1,-1"], False),
+    (["cascade", "--den-a", "1,-1,-1", "--den-b", "1,-1", "--impz", "0", "5"], False),
+    (["respond", "--input", "{signal}", "--to", "5"], False),
+    (["freqz", "--den", "1,-1,-1", "--points", "9"], True),
+    (["impz", "--den", "1,-1,-1,-1", "--from", "0", "--to", "5"], True),
+], ids=lambda v: " ".join(v) or "import" if isinstance(v, list) else None)
+def test_numpy_is_imported_only_where_used(tmp_path, argv, loads_numpy):
+    signal = tmp_path / "signal.txt"
+    signal.write_text("0,1\n2,1/2\n")
+    argv = [arg.replace("{signal}", str(signal)) for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, loads_numpy]
