@@ -1,7 +1,8 @@
 """Rational discrete-time systems in z^-1 with exact pole analysis.
 
 Transfer functions are ratios of polynomials in z^-1 with exact coefficients
-(see `qfield`).  Denominators of degree <= 2 factor exactly, either over the
+(see `qfield`, whose Kronecker-substitution product multiplies them).
+Denominators of degree <= 2 factor exactly, either over the
 rationals or over a real quadratic field; higher degrees keep exactness only
 when a factored pole multiset is carried along (as `cascade` does) and
 otherwise fall back to a numeric root finder (`np.roots`; numpy is imported
@@ -25,6 +26,7 @@ from .qfield import (
     GOLDEN_RATIO,
     GOLDEN_RATIO_CONJUGATE,
     QuadRational,
+    _exact_product,
     sqrt_in_field,
     square_free_decompose,
 )
@@ -185,19 +187,19 @@ class Polynomial:
         return Polynomial([-c for c in self._coeffs])
 
     def __mul__(self, other) -> "Polynomial":
+        """Scale by a field element, or multiply two polynomials exactly.
+
+        The product of two polynomials is one Kronecker-substitution product
+        (`_exact_product`): one big-int multiplication for rational
+        coefficients, three for Q(sqrt(d)).
+        """
         if isinstance(other, (int, Fraction, QuadRational)):
             return Polynomial([c * other for c in self._coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, ci in enumerate(self._coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Polynomial(out)
+        return Polynomial(_exact_product(self._coeffs, other._coeffs, _ZERO))
 
     __rmul__ = __mul__
 

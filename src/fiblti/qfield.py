@@ -5,6 +5,9 @@ element a + b*sqrt(d) with rational a, b and a square-free radicand d (d = 5
 for the golden-ratio systems).  Keeping values in this form makes all
 downstream decisions exact: ordering, rounding tests and region-of-convergence
 radius comparisons are settled by integer sign analysis, never by floats.
+Sequences of field elements multiply (as polynomials or as windows) through
+`_exact_product`, which reads and builds the components directly, so it
+lives beside the representation.
 """
 
 from __future__ import annotations
@@ -422,6 +425,109 @@ def sqrt_in_field(x: QuadRational) -> QuadRational | None:
         if cand * cand == x:
             return abs(cand)
     return None
+
+
+def _scaled(values) -> tuple[list[int], list[int], int]:
+    """Integers A, B and L with values[i] = (A[i] + B[i] sqrt(d)) / L."""
+    den = math.lcm(*(v.a.denominator for v in values), *(v.b.denominator for v in values))
+    return (
+        [v.a.numerator * (den // v.a.denominator) for v in values],
+        [v.b.numerator * (den // v.b.denominator) for v in values],
+        den,
+    )
+
+
+def _slot_offsets(count: int, size: int) -> int:
+    """The packed int whose `count` slots of `size` bytes each hold 2^(8 size - 1)."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _int_convolve(us: list[int], vs: list[int]) -> list[int]:
+    """Integer convolution of us and vs by one big-int product.
+
+    Kronecker substitution: each vector becomes one int with an entry per
+    slot, wide enough for any output plus a sign bit, so the product's slots
+    are the outputs.  Adding half a slot to every slot makes all slots
+    non-negative, so they unpack independently as bytes.
+    """
+    count = len(us) + len(vs) - 1
+    if not any(us) or not any(vs):
+        return [0] * count
+    bound = (
+        max(map(abs, us)).bit_length()
+        + max(map(abs, vs)).bit_length()
+        + min(len(us), len(vs)).bit_length()
+    )
+    size = bound // 8 + 1  # every |output| < 2^bound <= 2^(8 size - 1)
+    half = 1 << (8 * size - 1)
+
+    def pack(ws):
+        raw = b"".join((w + half).to_bytes(size, "little") for w in ws)
+        return int.from_bytes(raw, "little") - _slot_offsets(len(ws), size)
+
+    raw = (pack(us) * pack(vs) + _slot_offsets(count, size)).to_bytes(size * count, "little")
+    return [
+        int.from_bytes(raw[i : i + size], "little") - half for i in range(0, size * count, size)
+    ]
+
+
+def _exact_product(xs, hs, zero: QuadRational | None = None) -> list[QuadRational]:
+    """Coefficients of (sum xs[i] z^-i)(sum hs[j] z^-j) for field elements, exactly.
+
+    Each operand is scaled to integer vectors A + B sqrt(d) over one common
+    denominator, and every integer convolution is one big-int product, which
+    CPython multiplies by Karatsuba (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, 8.4).  Irrational operands take three products:
+    A*A', B*B' and (A+B)*(A'+B').
+
+    Each output also has the field the running sum ``zero + xs[i] * hs[j] +
+    ...`` (i ascending) would give it: the operands' irrational field once a
+    term is irrational, else zero's.  Without `zero` the sum starts from its
+    first term, and a rational output keeps that term's field.  Operands
+    with irrational parts from two fields raise FieldMismatchError.
+    """
+    dx = next((v.d for v in xs if v.b), None)
+    dh = next((v.d for v in hs if v.b), None)
+    if dx is not None and dh is not None and dx != dh:
+        raise FieldMismatchError(f"cannot combine sqrt({dx}) and sqrt({dh}) values")
+    d = dx or dh
+    ax, bx, lx = _scaled(xs)
+    ah, bh, lh = _scaled(hs)
+    den = lx * lh
+    count = len(xs) + len(hs) - 1
+    p = _int_convolve(ax, ah)
+    if d is None:
+        rows = [(a, 0) for a in p]
+    else:
+        q = _int_convolve(bx, bh)
+        r = _int_convolve([a + b for a, b in zip(ax, bx)], [a + b for a, b in zip(ah, bh)])
+        rows = [(pk + d * qk, rk - pk - qk) for pk, qk, rk in zip(p, q, r)]
+
+    # The field of a rational output none of whose terms is irrational.
+    if zero is not None:
+        fields = [zero.d] * count
+    elif len({v.d for v in (*xs, *hs)}) == 1:
+        fields = [xs[0].d] * count
+    else:
+        fields = []
+        for k in range(count):
+            i = max(0, k - len(hs) + 1)
+            x, h = xs[i], hs[k - i]
+            fields.append(h.d if x.d != h.d and not x.b and h.b else x.d)
+    if d is not None and any(not b and f != d for (_, b), f in zip(rows, fields)):
+        # A rational output is in field d iff one of its terms is irrational,
+        # that is iff the sum of the terms' squared irrational parts
+        # (a b' + b a')^2 = a^2 b'^2 + b^2 a'^2 + 2 a b a' b' is nonzero.
+        squares = zip(
+            _int_convolve([a * a for a in ax], [b * b for b in bh]),
+            _int_convolve([b * b for b in bx], [a * a for a in ah]),
+            _int_convolve([a * b for a, b in zip(ax, bx)], [a * b for a, b in zip(ah, bh)]),
+        )
+        fields = [d if s + t + 2 * u else f for (s, t, u), f in zip(squares, fields)]
+    return [
+        QuadRational(Fraction(a, den), Fraction(b, den), d if b else f)
+        for (a, b), f in zip(rows, fields)
+    ]
 
 
 #: The golden ratio (1 + sqrt(5))/2, the growing pole of the Fibonacci system.

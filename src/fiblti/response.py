@@ -1,9 +1,11 @@
 """Time- and frequency-domain responses of the exact rational systems.
 
 Time-domain paths are exact: the difference-equation simulator runs the
-recursion with field coefficients, `convolve` is exact finite convolution,
-and the closed forms are `inverse_z` pole sums in Q(sqrt(5)) over the
-expansions of their systems.  The frequency side is a formal evaluation of the
+recursion with field coefficients, `convolve` multiplies two exact windows
+as polynomials by Kronecker substitution (one big-int product per
+component; a float window gives an inexact result), and the closed forms
+are `inverse_z` pole sums in Q(sqrt(5)) over the expansions of their
+systems.  The frequency side is a formal evaluation of the
 coefficient polynomials on the unit circle, computed in floats on a uniform
 [0, pi] grid; it deliberately ignores whether any region of convergence
 actually contains the circle, and says so in its metadata.  Only the
@@ -28,7 +30,7 @@ from .lti import (
     min_phase_system,
     partial_fractions,
 )
-from .qfield import QuadRational
+from .qfield import QuadRational, _exact_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,11 +97,19 @@ def simulate_difference_equation(sys: RationalSystem, x: Signal, n1: int) -> Seq
 
 
 def convolve(x: SequenceWindow, h: SequenceWindow) -> SequenceWindow:
-    """Exact finite convolution of two windows."""
-    xv = list(x.values)
-    hv = list(h.values)
-    if not xv or not hv:
+    """Finite convolution of two windows: exact unless either window is inexact.
+
+    Two exact windows convolve by one big-int product per component
+    (`qfield._exact_product`).  An inexact (float) window makes the result
+    inexact: exact values are converted with float() and multiplied in a
+    plain loop.
+    """
+    if not x.values or not h.values:
         raise ValueError("convolution needs nonempty inputs")
+    if x.exact and h.exact:
+        return SequenceWindow(x.n0 + h.n0, _exact_product(x.values, h.values))
+    xv = [float(v) for v in x.values]
+    hv = [float(v) for v in h.values]
     out = [None] * (len(xv) + len(hv) - 1)
     for i, a in enumerate(xv):
         for j, b in enumerate(hv):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiblti.lti import (
     InvalidRocError,
@@ -83,6 +85,66 @@ def test_polynomial_multiplication_matches_fraction_oracle():
         while ref and ref[-1] == 0:
             ref.pop()
         assert [c.as_fraction() for c in prod.coeffs] == ref
+
+
+def naive_poly_mul(p, q):
+    """The double loop `Polynomial.__mul__` replaced: each sum starts at zero."""
+    if p.is_zero or q.is_zero:
+        return Polynomial()
+    out = [QuadRational(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Polynomial(out)
+
+
+# Zeros, +-1, +-(2^k - 1) and fractions with up to 30-digit numerators and
+# 25-digit denominators: signed slots, slot edges and common denominators.
+COMPONENTS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**25)),
+    st.builds(lambda k, s: s * (2**k - 1), st.integers(1, 100), st.sampled_from([1, -1])),
+)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials over Q or Q(sqrt(d)); rational coefficients carry any field."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    pair = []
+    for field_d in draw(st.sampled_from([(None, None), (d, None), (None, d), (d, d)])):
+        coeff = st.builds(QuadRational, COMPONENTS, st.just(0), st.sampled_from([2, 3, 5]))
+        if field_d is not None:
+            coeff = st.one_of(coeff, st.builds(QuadRational, COMPONENTS, COMPONENTS, st.just(field_d)))
+        pair.append(Polynomial(draw(st.lists(coeff, min_size=1, max_size=12))))
+    return pair
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(polynomial_pairs())
+@example([Polynomial([0, 0]), Polynomial([QuadRational(0, 1, 2)])])
+@example([Polynomial([QuadRational(3, 0, 2)]), Polynomial([QuadRational(0, -1, 2), 1])])
+# The middle coefficient is the sum sqrt 2 - sqrt 2 = 0 of two irrational
+# terms, so the loop left it in Q(sqrt 2), not in zero's Q(sqrt 5).
+@example([Polynomial([1, 1]), Polynomial([QuadRational(0, -1, 2), QuadRational(0, 1, 2), 1])])
+@example([Polynomial([2047] * 3), Polynomial([-2047] * 3)])
+def test_polynomial_product_matches_the_double_loop(pair):
+    p, q = pair
+    got, want = p * q, naive_poly_mul(p, q)
+    assert got == want and str(got) == str(want)
+    # repr shows the field of rational coefficients, so this checks .d too.
+    assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+    assert poly_mul(q, p) == want
+
+
+def test_polynomial_product_rejects_coefficients_from_two_fields():
+    root2 = Polynomial([1, QuadRational(0, 1, 2)])
+    root3 = Polynomial([QuadRational(1, 1, 3)])
+    with pytest.raises(FieldMismatchError):
+        root2 * root3
+    with pytest.raises(FieldMismatchError):
+        root3 * root2
+    assert (root2 * Polynomial([QuadRational(2, 0, 3)])).coeffs == (2, QuadRational(0, 2, 2))
 
 
 def test_polynomial_evaluate_matches_fraction_oracle():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiblti.lti import (
     RationalSystem,
@@ -16,7 +18,7 @@ from fiblti.lti import (
     partial_fractions,
     reciprocal_system,
 )
-from fiblti.qfield import GOLDEN_RATIO, QuadRational
+from fiblti.qfield import GOLDEN_RATIO, FieldMismatchError, QuadRational
 from fiblti.response import (
     Signal,
     compare_magnitudes,
@@ -112,6 +114,93 @@ def test_convolution_is_commutative():
 def test_convolution_rejects_empty_input():
     with pytest.raises(ValueError):
         convolve(Signal(0, []), Signal(0, [1]))
+
+
+def naive_convolve(xs, hs):
+    """The double loop `convolve` replaced: each sum starts at its first product."""
+    out = [None] * (len(xs) + len(hs) - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(hs):
+            out[i + j] = a * b if out[i + j] is None else out[i + j] + a * b
+    return out
+
+
+# Signed components from 0 and +-1 up to 30-digit numerators over 25-digit
+# denominators, so the products need signed slots and common denominators;
+# +-(2^k - 1) fill their bit length, as products that reach a slot's edge do.
+COMPONENTS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**25)),
+    st.builds(lambda k, s: s * (2**k - 1), st.integers(1, 100), st.sampled_from([1, -1])),
+)
+FIELDS = (2, 3, 5)
+
+
+def field_values(d):
+    """Rational values tagged with any field, plus irrational ones in Q(sqrt(d))."""
+    rational = st.builds(QuadRational, COMPONENTS, st.just(0), st.sampled_from(FIELDS))
+    if d is None:
+        return rational
+    return st.one_of(rational, st.builds(QuadRational, COMPONENTS, COMPONENTS, st.just(d)))
+
+
+@st.composite
+def window_pairs(draw):
+    d = draw(st.sampled_from(FIELDS))
+    pair = []
+    for field_d in draw(st.sampled_from([(None, None), (d, None), (None, d), (d, d)])):
+        values = draw(st.lists(field_values(field_d), min_size=1, max_size=12))
+        pair.append(Signal(draw(st.integers(-40, 40)), values))
+    return pair
+
+
+ZEROS = Signal(-3, [QuadRational(0, 0, 2)] * 4)
+ROOT2 = Signal(2, [QuadRational(1, -1, 2), QuadRational(0, 1, 2), -7])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(window_pairs())
+@example([ZEROS, ROOT2])
+@example([ROOT2, ZEROS])
+@example([Signal(-1, [QuadRational(0, 1, 3)]), Signal(0, [QuadRational(0, -1, 3)])])
+@example([Signal(0, [Fraction(-10**40, 3)]), Signal(-5, [Fraction(1, 10**30), -1])])
+# Each output 3 * 2047^2 needs all 24 bits its slot bound allows, plus a sign bit.
+@example([Signal(0, [2047] * 3), Signal(0, [-2047] * 3)])
+# Output 1 is 0 * 0 + (1 + sqrt 3)(-1 + sqrt 3) = 2.  Both terms are rational,
+# so it keeps the field of its first term 0 * 0, Q(sqrt 5), not Q(sqrt 3).
+@example([
+    Signal(0, [0, QuadRational(1, 1, 3)]),
+    Signal(0, [QuadRational(-1, 1, 3), 0]),
+])
+def test_convolution_matches_the_double_loop(pair):
+    x, h = pair
+    y = convolve(x, h)
+    want = naive_convolve(x.values, h.values)
+    assert y.exact and y.n0 == x.n0 + h.n0
+    assert y.values == tuple(want)
+    # repr shows the field of rational values, so this checks .d too.
+    assert [repr(v) for v in y.values] == [repr(v) for v in want]
+    assert [str(v) for v in y.values] == [str(v) for v in want]
+
+
+def test_convolution_rejects_values_from_two_fields():
+    root2 = Signal(0, [1, QuadRational(0, 1, 2)])
+    root3 = Signal(0, [QuadRational(1, 1, 3)])
+    with pytest.raises(FieldMismatchError):
+        convolve(root2, root3)
+    with pytest.raises(FieldMismatchError):
+        convolve(root3, root2)
+    assert convolve(root2, Signal(0, [QuadRational(2, 0, 3)])).values == (2, QuadRational(0, 2, 2))
+
+
+def test_convolving_a_float_window_with_an_exact_one_is_inexact():
+    inexact = Signal(0, [1.5, 2.0])
+    exact = Signal(1, [1, QuadRational(0, 1, 5)])
+    root5 = 5 ** 0.5
+    for y in (convolve(inexact, exact), convolve(exact, inexact)):
+        assert not y.exact and y.n0 == 1
+        assert y.values == pytest.approx([1.5, 2.0 + 1.5 * root5, 2.0 * root5])
+    assert convolve(inexact, Signal(0, [1, 2])).values == (1.5, 5.0, 4.0)
 
 
 def test_response_is_linear():
