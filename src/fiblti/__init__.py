@@ -14,7 +14,7 @@ from .qfield import (
     QuadRational,
     SQRT5,
     int_sqrt_exact,
-    sqrt_in_field,
+    sqrt_exact,
     square_free_decompose,
 )
 from .fib import (

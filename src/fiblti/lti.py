@@ -27,8 +27,7 @@ from .qfield import (
     GOLDEN_RATIO_CONJUGATE,
     QuadRational,
     _exact_product,
-    sqrt_in_field,
-    square_free_decompose,
+    sqrt_exact,
 )
 
 __all__ = [
@@ -199,7 +198,7 @@ class Polynomial:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        return Polynomial(_exact_product(self._coeffs, other._coeffs, _ZERO))
+        return Polynomial(_exact_product(self._coeffs, other._coeffs))
 
     __rmul__ = __mul__
 
@@ -425,8 +424,10 @@ class SequenceWindow:
             return NotImplemented
         n0 = min(self._n0, other._n0)
         n1 = max(self.n1, other.n1)
+        # An inexact window makes the sum inexact, as in `convolve`.
+        lift = (lambda v: v) if self._exact and other._exact else float
         return SequenceWindow(
-            n0, [self.value_at(n) + other.value_at(n) for n in range(n0, n1 + 1)]
+            n0, [lift(self.value_at(n)) + lift(other.value_at(n)) for n in range(n0, n1 + 1)]
         )
 
     def __len__(self) -> int:
@@ -581,10 +582,7 @@ def _quadratic_poles(c) -> "list[Pole] | None":
     disc = c1 * c1 - 4 * c0 * c2
     if not disc:
         return [Pole(-(c1 / (2 * c0)), 2)]
-    if disc.is_rational:
-        root = _rational_sqrt_any_field(disc.as_fraction())
-    else:
-        root = sqrt_in_field(disc)
+    root = sqrt_exact(disc)
     if root is None:
         return None
     try:
@@ -594,17 +592,6 @@ def _quadratic_poles(c) -> "list[Pole] | None":
         # Discriminant root lives in a different field than the coefficients.
         return None
     return sorted([Pole(p_plus), Pole(p_minus)], key=_pole_sort_key)
-
-
-def _rational_sqrt_any_field(x: Fraction) -> QuadRational | None:
-    """sqrt(x) for x > 0 as an exact value, choosing the field it needs."""
-    if x < 0:
-        return None
-    pq = x.numerator * x.denominator
-    s, k = square_free_decompose(pq)
-    if k == 1:
-        return QuadRational(Fraction(s, x.denominator))
-    return QuadRational(0, Fraction(s, x.denominator), k)
 
 
 def _numeric_poles(den: Polynomial) -> list[Pole]:

@@ -5,6 +5,9 @@ element a + b*sqrt(d) with rational a, b and a square-free radicand d (d = 5
 for the golden-ratio systems).  Keeping values in this form makes all
 downstream decisions exact: ordering, rounding tests and region-of-convergence
 radius comparisons are settled by integer sign analysis, never by floats.
+A rational value (b = 0) has one representation and belongs to no
+particular field.  `sqrt_exact` is the one exact square root: a rational
+finds its root in the field it needs, an irrational value only in its own.
 Sequences of field elements multiply (as polynomials or as windows) through
 `_exact_product`, which reads and builds the components directly, so it
 lives beside the representation.
@@ -24,7 +27,7 @@ __all__ = [
     "GOLDEN_RATIO_CONJUGATE",
     "SQRT5",
     "int_sqrt_exact",
-    "sqrt_in_field",
+    "sqrt_exact",
     "square_free_decompose",
 ]
 
@@ -35,13 +38,23 @@ class FieldMismatchError(ValueError):
     """Two values with irrational parts from different fields were combined."""
 
 
+#: The largest trial divisor: floor(cbrt(2^64)), so every m < 2^64 is decided.
+_TRIAL_DIVISOR_MAX = 2_642_245
+
+
 def square_free_decompose(m: int) -> tuple[int, int]:
-    """Write m >= 1 as s*s*k with k square-free and return (s, k)."""
+    """Write m >= 1 as s*s*k with k square-free and return (s, k).
+
+    Trial division stops at `_TRIAL_DIVISOR_MAX`; raises ValueError when the
+    part of m left then may still hide a square factor.
+    """
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m}")
     s = k = 1
     p = 2
     while p * p * p <= m:
+        if p > _TRIAL_DIVISOR_MAX:
+            raise ValueError(f"cannot decide by trial division whether a square divides {m}")
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -68,17 +81,6 @@ def int_sqrt_exact(m: int) -> int | None:
     return r if r * r == m else None
 
 
-def _frac_sqrt(x: Fraction) -> Fraction | None:
-    """Exact rational square root of x >= 0, or None."""
-    if x < 0:
-        return None
-    rn = int_sqrt_exact(x.numerator)
-    rd = int_sqrt_exact(x.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 @lru_cache(maxsize=None)
 def _validate_radicand(d: int) -> int:
     if d < 2:
@@ -102,8 +104,9 @@ class QuadRational:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
     Values are immutable and store fully reduced `Fraction` components.
-    Arithmetic with int and Fraction adopts the field of the quadratic
-    operand.  A value with b = 0 is a plain rational and embeds in any field;
+    A value with b = 0 is a plain rational: it embeds in any field, and its
+    radicand is always the default 5, so equal rationals have one
+    representation.  Arithmetic takes the field of the irrational operand;
     combining two values whose irrational parts live in different fields
     raises FieldMismatchError.  Comparisons use the real embedding
     (sqrt(d) > 0) and are exact.
@@ -121,7 +124,11 @@ class QuadRational:
             raise TypeError("components must be exact (int, Fraction or str), not float")
         self._a = Fraction(a)
         self._b = Fraction(b)
-        self._d = _validate_radicand(int(d))
+        self._d = 5
+        if d != 5:
+            d = _validate_radicand(int(d))
+            if self._b:
+                self._d = d
 
     # -- accessors ---------------------------------------------------------
 
@@ -137,7 +144,7 @@ class QuadRational:
 
     @property
     def d(self) -> int:
-        """Radicand of the field."""
+        """Radicand of the field; 5 for every rational value."""
         return self._d
 
     @property
@@ -171,17 +178,14 @@ class QuadRational:
         return f"QuadRational({self._a}, {self._b}, d={self._d})"
 
     @classmethod
-    def parse(cls, text: str, d: int = 5) -> "QuadRational":
-        """Parse the canonical text form, e.g. ``1/2-1/2*sqrt(5)`` or ``-3/4``.
-
-        `d` is the field used when the text has no sqrt term.
-        """
+    def parse(cls, text: str) -> "QuadRational":
+        """Parse the canonical text form, e.g. ``1/2-1/2*sqrt(5)`` or ``-3/4``."""
         m = _PARSE_RE.match(text)
         if m is None or (m.group("rat") is None and m.group("coef") is None):
             raise ValueError(f"cannot parse quadratic value from {text!r}")
         a = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
         if m.group("coef") is None:
-            return cls(a, 0, d)
+            return cls(a)
         if m.group("rat") is not None and m.group("sign") is None:
             raise ValueError(f"missing sign before sqrt term in {text!r}")
         b = Fraction(m.group("coef"))
@@ -191,20 +195,18 @@ class QuadRational:
 
     # -- coercion ------------------------------------------------------------
 
-    def _pair(self, other) -> "tuple[QuadRational, QuadRational] | None":
-        """Bring self and other into one field, or None if not coercible."""
+    def _pair(self, other) -> "tuple[QuadRational, int] | None":
+        """Other as a field element and the result's radicand; None if not coercible."""
         if isinstance(other, QuadRational):
-            if other._d == self._d:
-                return self, other
-            if other._b == 0:
-                return self, QuadRational(other._a, 0, self._d)
-            if self._b == 0:
-                return QuadRational(self._a, 0, other._d), other
+            if other._d == self._d or not other._b:
+                return other, self._d
+            if not self._b:
+                return other, other._d
             raise FieldMismatchError(
                 f"cannot combine sqrt({self._d}) and sqrt({other._d}) values"
             )
         if isinstance(other, (int, Fraction)):
-            return self, QuadRational(other, 0, self._d)
+            return QuadRational(other), self._d
         return None
 
     # -- ring operations -------------------------------------------------------
@@ -213,8 +215,8 @@ class QuadRational:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return QuadRational(x._a + y._a, x._b + y._b, x._d)
+        y, d = pair
+        return QuadRational(self._a + y._a, self._b + y._b, d)
 
     __radd__ = __add__
 
@@ -222,15 +224,15 @@ class QuadRational:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return QuadRational(x._a - y._a, x._b - y._b, x._d)
+        y, d = pair
+        return QuadRational(self._a - y._a, self._b - y._b, d)
 
     def __rsub__(self, other) -> "QuadRational":
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return QuadRational(y._a - x._a, y._b - x._b, x._d)
+        y, d = pair
+        return QuadRational(y._a - self._a, y._b - self._b, d)
 
     def __neg__(self) -> "QuadRational":
         return QuadRational(-self._a, -self._b, self._d)
@@ -242,11 +244,11 @@ class QuadRational:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
+        y, d = pair
         return QuadRational(
-            x._a * y._a + x._d * x._b * y._b,
-            x._a * y._b + x._b * y._a,
-            x._d,
+            self._a * y._a + d * self._b * y._b,
+            self._a * y._b + self._b * y._a,
+            d,
         )
 
     __rmul__ = __mul__
@@ -270,15 +272,13 @@ class QuadRational:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return x * y.inv()
+        return self * pair[0].inv()
 
     def __rtruediv__(self, other) -> "QuadRational":
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        x, y = pair
-        return y * x.inv()
+        return pair[0] * self.inv()
 
     def __pow__(self, n: int) -> "QuadRational":
         """Square-and-multiply power; negative exponents invert first."""
@@ -286,7 +286,7 @@ class QuadRational:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = QuadRational(1, 0, self._d)
+        result = QuadRational(1)
         base = self
         while n:
             if n & 1:
@@ -321,9 +321,7 @@ class QuadRational:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadRational):
-            if self._b == 0 and other._b == 0:
-                return self._a == other._a
-            return self._d == other._d and self._a == other._a and self._b == other._b
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
             return self._b == 0 and self._a == other
         return NotImplemented
@@ -337,8 +335,8 @@ class QuadRational:
         pair = self._pair(other)
         if pair is None:
             return None
-        x, y = pair
-        return (x - y).sign()
+        y, d = pair
+        return QuadRational(self._a - y._a, self._b - y._b, d).sign()
 
     def __lt__(self, other) -> bool:
         c = self._cmp(other)
@@ -394,34 +392,41 @@ class QuadRational:
         return complex(float(self), 0.0)
 
 
-def sqrt_in_field(x: QuadRational) -> QuadRational | None:
-    """Exact square root of x inside Q(sqrt(d)) itself, or None.
+def sqrt_exact(x: "RationalLike | QuadRational") -> QuadRational | None:
+    """The non-negative exact square root of x, or None if there is none.
 
-    Used by the pole factorizer when a quadratic with field coefficients has a
-    field-valued discriminant root (e.g. a repeated pole).  Returns the
-    non-negative root when one exists.
+    A rational x >= 0 has its root in Q or in Q(sqrt(k)), k the square-free
+    part of x; an irrational x has its root only inside its own field.  None
+    also when the square-free part of a rational x is too costly to find.
     """
+    if not isinstance(x, QuadRational):
+        x = QuadRational(x)
     if x.sign() < 0:
         return None
     if not x:
-        return QuadRational(0, 0, x.d)
-    if x.b == 0:
-        r = _frac_sqrt(x.a)
+        return x
+    if not x.b:
+        # sqrt(n/m) = sqrt(n*m)/m, and n*m = s*s*k unless it is a square.
+        m = x.a.denominator
+        nm = x.a.numerator * m
+        r = int_sqrt_exact(nm)
         if r is not None:
-            return QuadRational(r, 0, x.d)
-        r = _frac_sqrt(x.a / x.d)
-        if r is not None:
-            return QuadRational(0, r, x.d)
+            return QuadRational(Fraction(r, m))
+        try:
+            s, k = square_free_decompose(nm)
+        except ValueError:
+            return None
+        return QuadRational(0, Fraction(s, m), k)
+    # Solve (p + q*sqrt(d))^2 = a + b*sqrt(d): p^2 + d q^2 = a, 2 p q = b,
+    # with p^2 = (a +- sqrt(norm))/2 and both roots rational.
+    root_norm = sqrt_exact(x.norm())
+    if root_norm is None or not root_norm.is_rational:
         return None
-    # Solve (p + q*sqrt(d))^2 = a + b*sqrt(d): p^2 + d q^2 = a, 2 p q = b.
-    root_norm = _frac_sqrt(x.norm())
-    if root_norm is None:
-        return None
-    for p2 in ((x.a + root_norm) / 2, (x.a - root_norm) / 2):
-        p = _frac_sqrt(p2)
-        if p is None or p == 0:
+    for p2 in ((x.a + root_norm.a) / 2, (x.a - root_norm.a) / 2):
+        p = sqrt_exact(p2)
+        if p is None or not p or not p.is_rational:
             continue
-        cand = QuadRational(p, x.b / (2 * p), x.d)
+        cand = QuadRational(p.a, x.b / (2 * p.a), x.d)
         if cand * cand == x:
             return abs(cand)
     return None
@@ -471,20 +476,15 @@ def _int_convolve(us: list[int], vs: list[int]) -> list[int]:
     ]
 
 
-def _exact_product(xs, hs, zero: QuadRational | None = None) -> list[QuadRational]:
+def _exact_product(xs, hs) -> list[QuadRational]:
     """Coefficients of (sum xs[i] z^-i)(sum hs[j] z^-j) for field elements, exactly.
 
     Each operand is scaled to integer vectors A + B sqrt(d) over one common
     denominator, and every integer convolution is one big-int product, which
     CPython multiplies by Karatsuba (von zur Gathen & Gerhard, *Modern
     Computer Algebra*, 8.4).  Irrational operands take three products:
-    A*A', B*B' and (A+B)*(A'+B').
-
-    Each output also has the field the running sum ``zero + xs[i] * hs[j] +
-    ...`` (i ascending) would give it: the operands' irrational field once a
-    term is irrational, else zero's.  Without `zero` the sum starts from its
-    first term, and a rational output keeps that term's field.  Operands
-    with irrational parts from two fields raise FieldMismatchError.
+    A*A', B*B' and (A+B)*(A'+B').  Operands with irrational parts from two
+    fields raise FieldMismatchError.
     """
     dx = next((v.d for v in xs if v.b), None)
     dh = next((v.d for v in hs if v.b), None)
@@ -494,7 +494,6 @@ def _exact_product(xs, hs, zero: QuadRational | None = None) -> list[QuadRationa
     ax, bx, lx = _scaled(xs)
     ah, bh, lh = _scaled(hs)
     den = lx * lh
-    count = len(xs) + len(hs) - 1
     p = _int_convolve(ax, ah)
     if d is None:
         rows = [(a, 0) for a in p]
@@ -502,32 +501,7 @@ def _exact_product(xs, hs, zero: QuadRational | None = None) -> list[QuadRationa
         q = _int_convolve(bx, bh)
         r = _int_convolve([a + b for a, b in zip(ax, bx)], [a + b for a, b in zip(ah, bh)])
         rows = [(pk + d * qk, rk - pk - qk) for pk, qk, rk in zip(p, q, r)]
-
-    # The field of a rational output none of whose terms is irrational.
-    if zero is not None:
-        fields = [zero.d] * count
-    elif len({v.d for v in (*xs, *hs)}) == 1:
-        fields = [xs[0].d] * count
-    else:
-        fields = []
-        for k in range(count):
-            i = max(0, k - len(hs) + 1)
-            x, h = xs[i], hs[k - i]
-            fields.append(h.d if x.d != h.d and not x.b and h.b else x.d)
-    if d is not None and any(not b and f != d for (_, b), f in zip(rows, fields)):
-        # A rational output is in field d iff one of its terms is irrational,
-        # that is iff the sum of the terms' squared irrational parts
-        # (a b' + b a')^2 = a^2 b'^2 + b^2 a'^2 + 2 a b a' b' is nonzero.
-        squares = zip(
-            _int_convolve([a * a for a in ax], [b * b for b in bh]),
-            _int_convolve([b * b for b in bx], [a * a for a in ah]),
-            _int_convolve([a * b for a, b in zip(ax, bx)], [a * b for a, b in zip(ah, bh)]),
-        )
-        fields = [d if s + t + 2 * u else f for (s, t, u), f in zip(squares, fields)]
-    return [
-        QuadRational(Fraction(a, den), Fraction(b, den), d if b else f)
-        for (a, b), f in zip(rows, fields)
-    ]
+    return [QuadRational(Fraction(a, den), Fraction(b, den), d or 5) for a, b in rows]
 
 
 #: The golden ratio (1 + sqrt(5))/2, the growing pole of the Fibonacci system.

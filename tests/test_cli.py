@@ -103,6 +103,18 @@ def test_analyze_numeric_fallback_marks_inexact(capsys):
     assert mods == pytest.approx([0.25, 1 / 3, 0.5], abs=1e-9)
 
 
+def test_analyze_finishes_when_the_square_free_part_is_out_of_reach():
+    # The discriminant's numerator times denominator has 152 bits, and its
+    # square factor 1000000007^2 lies beyond trial division: numeric poles.
+    result = subprocess.run(
+        [sys.executable, "-m", "fiblti", "analyze", "--den", "1,1/1000000007,-1/1000000009"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["exact"] is False and len(payload["poles"]) == 2
+
+
 # ---------------------------------------------------------
 # impz
 # ---------------------------------------------------------

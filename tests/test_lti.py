@@ -109,7 +109,7 @@ COMPONENTS = st.one_of(
 
 @st.composite
 def polynomial_pairs(draw):
-    """Two polynomials over Q or Q(sqrt(d)); rational coefficients carry any field."""
+    """Two polynomials over Q or Q(sqrt(d)); rational coefficients are built in any field."""
     d = draw(st.sampled_from([2, 3, 5]))
     pair = []
     for field_d in draw(st.sampled_from([(None, None), (d, None), (None, d), (d, d)])):
@@ -124,15 +124,14 @@ def polynomial_pairs(draw):
 @given(polynomial_pairs())
 @example([Polynomial([0, 0]), Polynomial([QuadRational(0, 1, 2)])])
 @example([Polynomial([QuadRational(3, 0, 2)]), Polynomial([QuadRational(0, -1, 2), 1])])
-# The middle coefficient is the sum sqrt 2 - sqrt 2 = 0 of two irrational
-# terms, so the loop left it in Q(sqrt 2), not in zero's Q(sqrt 5).
+# The middle coefficient is the sum sqrt 2 - sqrt 2 = 0 of two irrational terms.
 @example([Polynomial([1, 1]), Polynomial([QuadRational(0, -1, 2), QuadRational(0, 1, 2), 1])])
 @example([Polynomial([2047] * 3), Polynomial([-2047] * 3)])
 def test_polynomial_product_matches_the_double_loop(pair):
     p, q = pair
     got, want = p * q, naive_poly_mul(p, q)
     assert got == want and str(got) == str(want)
-    # repr shows the field of rational coefficients, so this checks .d too.
+    # Equal rational values have one repr, so this checks .d too.
     assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
     assert poly_mul(q, p) == want
 
@@ -664,6 +663,17 @@ def test_window_float_values_flip_the_exact_flag():
     assert win.to_floats() == [1.0, 2.5]
     with pytest.raises(ValueError):
         win.to_ints()
+
+
+def test_window_sum_with_an_inexact_window_is_inexact():
+    for total in (
+        SequenceWindow(0, [1.5]) + SequenceWindow(-1, [1, GOLDEN_RATIO]),
+        SequenceWindow(-1, [1, GOLDEN_RATIO]) + SequenceWindow(0, [1.5]),
+    ):
+        assert not total.exact and total.n0 == -1
+        assert total.values == (1.0, 1.5 + float(GOLDEN_RATIO))
+    exact = SequenceWindow(0, [1, Fraction(1, 2)]) + SequenceWindow(1, [GOLDEN_RATIO])
+    assert exact.exact and exact.values == (1, Fraction(1, 2) + GOLDEN_RATIO)
 
 
 def test_window_to_ints_requires_integers():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiblti.qfield import (
     GOLDEN_RATIO,
@@ -12,7 +14,7 @@ from fiblti.qfield import (
     FieldMismatchError,
     QuadRational,
     int_sqrt_exact,
-    sqrt_in_field,
+    sqrt_exact,
     square_free_decompose,
 )
 
@@ -76,6 +78,23 @@ def test_square_free_decompose_exhaustive_small():
         assert all(k % (p * p) for p in range(2, int(k**0.5) + 1))
 
 
+def test_square_free_decompose_decides_every_64_bit_input():
+    p = 2642239  # the largest prime whose cube is below 2^64
+    assert square_free_decompose(p**3) == (p, p)
+    q, r = 4294967291, 4294967279  # the two largest primes below 2^32
+    assert square_free_decompose(q * q) == (q, 1)
+    assert square_free_decompose(q * r) == (1, q * r)
+
+
+def test_square_free_decompose_gives_up_on_large_cofactors():
+    m = (2**61 - 1) * (2**31 - 1)
+    with pytest.raises(ValueError):
+        square_free_decompose(m)
+    assert sqrt_exact(m) is None
+    with pytest.raises(ValueError):
+        QuadRational(1, 1, m)
+
+
 # ---------------------------------------------------------
 # Construction and canonical text form
 # ---------------------------------------------------------
@@ -97,6 +116,12 @@ def test_radicand_must_be_square_free_and_at_least_two():
         assert QuadRational(1, 1, good).d == good
 
 
+def test_equal_rationals_have_equal_repr():
+    assert repr(QuadRational(0, 1, 2) ** 2) == repr(QuadRational(2))
+    assert repr(QuadRational(3, 0, 7)) == repr(QuadRational(3)) == "QuadRational(3, 0, d=5)"
+    assert repr(QuadRational(1, 1, 3) - QuadRational(0, 1, 3)) == repr(QuadRational(1))
+
+
 def test_str_is_canonical():
     assert str(QuadRational(3, 0, 5)) == "3"
     assert str(QuadRational(Fraction(-5, 2), 0, 5)) == "-5/2"
@@ -115,7 +140,6 @@ def test_parse_str_roundtrip():
 def test_parse_reads_radicand_from_text():
     assert QuadRational.parse("1+1*sqrt(3)").d == 3
     assert QuadRational.parse("7").d == 5
-    assert QuadRational.parse("7", d=7) == QuadRational(7, 0, 7)
 
 
 def test_parse_rejects_garbage():
@@ -341,31 +365,58 @@ def test_as_fraction():
 
 
 # ---------------------------------------------------------
-# In-field square roots
+# Exact square roots
 # ---------------------------------------------------------
-def test_sqrt_in_field_of_perfect_squares():
+def test_sqrt_exact_of_perfect_squares():
     rng = np.random.default_rng(17)
     for _ in range(30):
         p = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
         q = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
         x = QuadRational(p, q, 5)
-        root = sqrt_in_field(x * x)
+        root = sqrt_exact(x * x)
         assert root is not None
         assert root * root == x * x
         assert root.sign() >= 0
 
 
-def test_sqrt_in_field_known_values():
-    assert sqrt_in_field(QuadRational(9, 0, 5)) == 3
-    assert sqrt_in_field(QuadRational(Fraction(9, 4), 0, 5)) == Fraction(3, 2)
-    assert sqrt_in_field(QuadRational(5, 0, 5)) == SQRT5
-    assert sqrt_in_field(QuadRational(6, 2, 5)) == QuadRational(1, 1, 5)
-    assert sqrt_in_field(GOLDEN_RATIO * GOLDEN_RATIO) == GOLDEN_RATIO
-    assert sqrt_in_field(QuadRational(0, 0, 5)) == 0
+def test_sqrt_exact_known_values():
+    assert sqrt_exact(QuadRational(9, 0, 5)) == 3
+    assert sqrt_exact(QuadRational(Fraction(9, 4), 0, 5)) == Fraction(3, 2)
+    assert sqrt_exact(QuadRational(5, 0, 5)) == SQRT5
+    assert sqrt_exact(QuadRational(6, 2, 5)) == QuadRational(1, 1, 5)
+    assert sqrt_exact(GOLDEN_RATIO * GOLDEN_RATIO) == GOLDEN_RATIO
+    assert sqrt_exact(QuadRational(0, 0, 5)) == 0
+    # A rational root finds the field it needs, whatever the input's tag.
+    assert sqrt_exact(QuadRational(2, 0, 5)) == QuadRational(0, 1, 2)
+    assert sqrt_exact(8) == QuadRational(0, 2, 2)
+    assert sqrt_exact(Fraction(3, 8)) == QuadRational(0, Fraction(1, 4), 6)
 
 
-def test_sqrt_in_field_rejects_non_squares():
-    assert sqrt_in_field(QuadRational(2, 0, 5)) is None
-    assert sqrt_in_field(QuadRational(-4, 0, 5)) is None
-    assert sqrt_in_field(SQRT5) is None
-    assert sqrt_in_field(GOLDEN_RATIO) is None
+def test_sqrt_exact_rejects_non_squares():
+    assert sqrt_exact(QuadRational(-4, 0, 5)) is None
+    assert sqrt_exact(-2) is None
+    assert sqrt_exact(SQRT5) is None
+    assert sqrt_exact(GOLDEN_RATIO) is None
+
+
+_RADICANDS = st.sampled_from([2, 3, 5, 6, 7])
+_RATIONALS = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_RATIONALS, _RATIONALS, _RADICANDS)
+def test_sqrt_exact_of_a_square_is_its_modulus(a, b, d):
+    x = QuadRational(a, b, d)
+    assert sqrt_exact(x * x) == abs(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_RATIONALS)
+def test_sqrt_exact_of_a_rational_lives_in_its_square_free_part(r):
+    root = sqrt_exact(r)
+    if r < 0:
+        assert root is None
+        return
+    assert root * root == r and root.sign() >= 0
+    _, k = square_free_decompose(r.numerator * r.denominator) if r else (0, 1)
+    assert root.is_rational if k == 1 else (root.a == 0 and root.d == k)

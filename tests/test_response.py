@@ -137,7 +137,7 @@ FIELDS = (2, 3, 5)
 
 
 def field_values(d):
-    """Rational values tagged with any field, plus irrational ones in Q(sqrt(d))."""
+    """Rational values built in any field, plus irrational ones in Q(sqrt(d))."""
     rational = st.builds(QuadRational, COMPONENTS, st.just(0), st.sampled_from(FIELDS))
     if d is None:
         return rational
@@ -166,8 +166,8 @@ ROOT2 = Signal(2, [QuadRational(1, -1, 2), QuadRational(0, 1, 2), -7])
 @example([Signal(0, [Fraction(-10**40, 3)]), Signal(-5, [Fraction(1, 10**30), -1])])
 # Each output 3 * 2047^2 needs all 24 bits its slot bound allows, plus a sign bit.
 @example([Signal(0, [2047] * 3), Signal(0, [-2047] * 3)])
-# Output 1 is 0 * 0 + (1 + sqrt 3)(-1 + sqrt 3) = 2.  Both terms are rational,
-# so it keeps the field of its first term 0 * 0, Q(sqrt 5), not Q(sqrt 3).
+# Output 1 is 0 * 0 + (1 + sqrt 3)(-1 + sqrt 3) = 2: a rational sum of
+# rational terms whose factors are irrational.
 @example([
     Signal(0, [0, QuadRational(1, 1, 3)]),
     Signal(0, [QuadRational(-1, 1, 3), 0]),
@@ -178,7 +178,7 @@ def test_convolution_matches_the_double_loop(pair):
     want = naive_convolve(x.values, h.values)
     assert y.exact and y.n0 == x.n0 + h.n0
     assert y.values == tuple(want)
-    # repr shows the field of rational values, so this checks .d too.
+    # Equal rational values have one repr, so this checks .d too.
     assert [repr(v) for v in y.values] == [repr(v) for v in want]
     assert [str(v) for v in y.values] == [str(v) for v in want]
 
