@@ -414,8 +414,10 @@ class SequenceWindow:
         return SequenceWindow(self._n0 + k, self._values)
 
     def scaled(self, c) -> "SequenceWindow":
-        """Every value multiplied by c; an exact window scales exactly."""
-        if self._exact and not isinstance(c, QuadRational):
+        """Every value multiplied by c; an exact window scales exactly, an inexact one in floats."""
+        if not self._exact and isinstance(c, QuadRational):
+            c = float(c)
+        elif self._exact and not isinstance(c, QuadRational):
             c = Fraction(c)
         return SequenceWindow(self._n0, [c * v for v in self._values])
 

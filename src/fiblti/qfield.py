@@ -9,8 +9,8 @@ A rational value (b = 0) has one representation and belongs to no
 particular field.  `sqrt_exact` is the one exact square root: a rational
 finds its root in the field it needs, an irrational value only in its own.
 Sequences of field elements multiply (as polynomials or as windows) through
-`_exact_product`, which reads and builds the components directly, so it
-lives beside the representation.
+`_exact_product` and divide as series through `_exact_quotient`; both read
+and build the components directly, so they live beside the representation.
 """
 
 from __future__ import annotations
@@ -502,6 +502,45 @@ def _exact_product(xs, hs) -> list[QuadRational]:
         r = _int_convolve([a + b for a, b in zip(ax, bx)], [a + b for a, b in zip(ah, bh)])
         rows = [(pk + d * qk, rk - pk - qk) for pk, qk, rk in zip(p, q, r)]
     return [QuadRational(Fraction(a, den), Fraction(b, den), d or 5) for a, b in rows]
+
+
+def _exact_quotient(us, ds, count: int) -> list[QuadRational]:
+    """The first `count` coefficients of U(z^-1)/D(z^-1) for field elements, D[0] = 1.
+
+    The series y of U/D obeys y_j = u_j - sum_{k>=1} D_k y_{j-k}.  With U
+    scaled to integers over M and D over L (`_scaled`), Y_j = M L^j y_j
+    obeys Y_j = U_j L^j - sum_k (L D_k) L^(k-1) Y_{j-k}, a recursion in
+    integer pairs A + B sqrt(d), so no tap builds or reduces a `Fraction`;
+    each output is reduced once, as Y_j / (M L^j).  U may be shorter or
+    longer than `count`.  Values with irrational parts from two fields
+    raise FieldMismatchError.
+    """
+    fields = sorted({v.d for v in (*us, *ds) if v.b})
+    if len(fields) > 1:
+        raise FieldMismatchError(f"cannot combine sqrt({fields[0]}) and sqrt({fields[1]}) values")
+    d = fields[0] if fields else 0
+    au, bu, m = _scaled(us[:count])
+    ad, bd, lden = _scaled(ds)
+    taps = [(ad[k] * lden ** (k - 1), bd[k] * lden ** (k - 1)) for k in range(1, len(ds))]
+    pad = [0] * (count - len(au))
+    au += pad
+    bu += pad
+    ya: list[int] = []
+    yb: list[int] = []
+    out = []
+    lpow = 1  # L^j
+    for j in range(count):
+        a = au[j] * lpow
+        b = bu[j] * lpow
+        for (ta, tb), pa, pb in zip(taps, reversed(ya), reversed(yb)):
+            a -= ta * pa + d * tb * pb
+            b -= ta * pb + tb * pa
+        ya.append(a)
+        yb.append(b)
+        den = m * lpow
+        out.append(QuadRational(Fraction(a, den), Fraction(b, den), d or 5))
+        lpow *= lden
+    return out
 
 
 #: The golden ratio (1 + sqrt(5))/2, the growing pole of the Fibonacci system.

@@ -1,14 +1,16 @@
 """Time- and frequency-domain responses of the exact rational systems.
 
-Time-domain paths are exact: the difference-equation simulator runs the
-recursion with field coefficients, `convolve` multiplies two exact windows
-as polynomials by Kronecker substitution (one big-int product per
-component; a float window gives an inexact result), and the closed forms
-are `inverse_z` pole sums in Q(sqrt(5)) over the expansions of their
-systems.  The frequency side is a formal evaluation of the
-coefficient polynomials on the unit circle, computed in floats on a uniform
-[0, pi] grid; it deliberately ignores whether any region of convergence
-actually contains the circle, and says so in its metadata.  Only the
+Time-domain paths are exact unless an input window holds floats, which
+makes the result inexact.  The difference-equation simulator runs the
+recursion once in big integers (`qfield._exact_quotient`: coefficients
+scaled to a common denominator, each output reduced once), `convolve`
+multiplies two exact windows as polynomials by Kronecker substitution (one
+big-int product per component), and the closed forms are `inverse_z` pole
+sums in Q(sqrt(5)) over the expansions of their systems.  The frequency
+side is a formal evaluation of the coefficient polynomials on the unit
+circle, computed in floats on a uniform [0, pi] grid; it deliberately
+ignores whether any region of convergence actually contains the circle,
+and says so in its metadata.  Only the
 frequency-side functions use numpy, and each imports it itself, so the
 time-domain paths run without loading it.
 """
@@ -30,7 +32,7 @@ from .lti import (
     min_phase_system,
     partial_fractions,
 )
-from .qfield import QuadRational, _exact_product
+from .qfield import _exact_product, _exact_quotient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,26 +76,29 @@ def simulate_difference_equation(sys: RationalSystem, x: Signal, n1: int) -> Seq
 
     y(n) = sum_k num[k] x(n-k) - sum_{k>=1} den[k] y(n-k) with zero initial
     state, for n from x.n0 through n1.  Coefficients may be exact field
-    elements (the minimum-phase system exercises that).
+    elements (the minimum-phase system exercises that).  An exact input is
+    the series of (num * x)/den: `_exact_product` forms num * x and
+    `_exact_quotient` runs the recursion once in big integers, scaled to a
+    common denominator, reducing each output once.  An inexact (float)
+    input makes the output inexact: the coefficients are converted with
+    float() and the recursion runs in floats.
     """
     if n1 < x.n0:
         raise ValueError(f"n1 = {n1} precedes the input start {x.n0}")
     num = sys.numerator.coeffs
     den = sys.denominator.coeffs
-    n0 = x.n0
-    ys: list[QuadRational] = []
-    for n in range(n0, n1 + 1):
-        acc = QuadRational(0)
-        for k, ck in enumerate(num):
-            xv = x.value_at(n - k)
-            if xv:
-                acc = acc + ck * xv
-        for k in range(1, len(den)):
-            i = n - k - n0
-            if i >= 0 and ys[i]:
-                acc = acc - den[k] * ys[i]
+    count = n1 - x.n0 + 1
+    if x.exact:
+        return SequenceWindow(x.n0, _exact_quotient(_exact_product(num, x.values), den, count))
+    xs = x.values
+    b = [float(c) for c in num]
+    a = [float(c) for c in den]
+    ys: list[float] = []
+    for j in range(count):
+        acc = sum((bk * xs[j - k] for k, bk in enumerate(b) if 0 <= j - k < len(xs)), 0.0)
+        acc -= sum(a[k] * ys[j - k] for k in range(1, min(j, len(a) - 1) + 1))
         ys.append(acc)
-    return SequenceWindow(n0, ys)
+    return SequenceWindow(x.n0, ys)
 
 
 def convolve(x: SequenceWindow, h: SequenceWindow) -> SequenceWindow:

@@ -231,6 +231,104 @@ def test_simulation_rejects_windows_before_the_input():
         simulate_difference_equation(fibonacci_system(), make_impulse(), -1)
 
 
+def naive_simulate(sys_, x, n1):
+    """The per-sample field recursion `simulate_difference_equation` replaced."""
+    num, den = sys_.numerator.coeffs, sys_.denominator.coeffs
+    ys = []
+    for n in range(x.n0, n1 + 1):
+        acc = QuadRational(0)
+        for k, c in enumerate(num):
+            acc = acc + c * x.value_at(n - k)
+        for k in range(1, len(den)):
+            if n - k >= x.n0:
+                acc = acc - den[k] * ys[n - k - x.n0]
+        ys.append(acc)
+    return ys
+
+
+# Small signed fractions, so a 30-sample recursion over a common denominator
+# L^j stays quick, plus a few 20-digit values.
+SMALL = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20)),
+)
+
+
+def small_values(d):
+    rational = st.builds(QuadRational, SMALL)
+    if d is None:
+        return rational
+    return st.one_of(rational, st.builds(QuadRational, SMALL, SMALL, st.just(d)))
+
+
+@st.composite
+def recursions(draw):
+    """A system, an input and a last index, all in Q or in one Q(sqrt(d))."""
+    values = small_values(draw(st.sampled_from([None, *FIELDS])))
+    num = draw(st.lists(values, max_size=4))
+    # Any nonzero constant term: the system normalizes it to 1.
+    den = [draw(values.filter(bool)), *draw(st.lists(values, max_size=4))]
+    xs = draw(st.lists(st.one_of(st.just(0), values), max_size=8))
+    x = Signal(draw(st.integers(-20, 20)), xs)
+    return RationalSystem(num, den), x, x.n0 + draw(st.integers(0, 30))
+
+
+ROOT3 = QuadRational(0, 1, 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(recursions())
+# The output window is the input's first sample.
+@example((RationalSystem([1, ROOT3], [2, -1, ROOT3]), Signal(-4, [ROOT3, 5]), -4))
+# The window ends before the input does.
+@example((RationalSystem([1], [Fraction(1, 3), 1]), Signal(-2, [1, 0, 2, 0, 7]), 0))
+# An empty input and a zero numerator give zeros.
+@example((fibonacci_system(), Signal(3, []), 6))
+@example((RationalSystem([], [1, QuadRational(1, 1, 2)]), Signal(0, [QuadRational(0, 1, 2)]), 4))
+# Rational outputs from an irrational recursion: 1/(1 - 2 sqrt 2 z^-1 + 2 z^-2).
+@example((RationalSystem([1], [1, QuadRational(0, -2, 2), 2]), make_impulse(), 6))
+def test_simulation_matches_the_per_sample_field_recursion(case):
+    sys_, x, n1 = case
+    y = simulate_difference_equation(sys_, x, n1)
+    want = naive_simulate(sys_, x, n1)
+    assert y.exact and y.n0 == x.n0
+    assert y.values == tuple(want)
+    assert [repr(v) for v in y.values] == [repr(v) for v in want]
+    assert [str(v) for v in y.values] == [str(v) for v in want]
+
+
+def test_simulation_rejects_values_from_two_fields():
+    root2, root5 = QuadRational(0, 1, 2), QuadRational(0, 1, 5)
+    with pytest.raises(FieldMismatchError):
+        simulate_difference_equation(RationalSystem([root2], [1, root5]), make_impulse(), 3)
+    with pytest.raises(FieldMismatchError):
+        simulate_difference_equation(RationalSystem([1], [1, root5]), Signal(0, [root2]), 3)
+    # Also when the window ends before the input's irrational sample.
+    with pytest.raises(FieldMismatchError):
+        simulate_difference_equation(RationalSystem([1], [1, root5]), Signal(0, [1, root2]), 0)
+    with pytest.raises(FieldMismatchError):
+        simulate_difference_equation(RationalSystem([root2], [1]), Signal(0, [1, ROOT3]), 3)
+
+
+def test_simulating_a_float_input_is_inexact():
+    y = simulate_difference_equation(fibonacci_system(), Signal(0, [1.5, 0.5]), 4)
+    assert not y.exact and y.values == (1.5, 2.0, 3.5, 5.5, 9.0)
+    exact = simulate_difference_equation(min_phase_system(), Signal(-1, [3, 1]), 12)
+    inexact = simulate_difference_equation(min_phase_system(), Signal(-1, [3.0, 1]), 12)
+    assert not inexact.exact and inexact.n0 == -1
+    assert inexact.values == pytest.approx(exact.to_floats(), rel=1e-12, abs=1e-12)
+    zero = simulate_difference_equation(RationalSystem([], [1, -1]), Signal(0, [2.5]), 2)
+    assert not zero.exact and zero.values == (0.0, 0.0, 0.0)
+
+
+def test_scaling_an_inexact_window_by_a_field_element_is_inexact():
+    y = Signal(0, [1.5, -2.0]).scaled(PHI)
+    assert not y.exact
+    assert y.values == pytest.approx([1.5 * float(PHI), -2.0 * float(PHI)])
+    assert Signal(0, [1.5]).scaled(Fraction(1, 2)).values == (0.75,)
+
+
 # ---------------------------------------------------------
 # Step response
 # ---------------------------------------------------------
