@@ -27,6 +27,8 @@ from .qfield import (
     GOLDEN_RATIO_CONJUGATE,
     QuadRational,
     _exact_product,
+    _exact_quotient,
+    _field,
     sqrt_exact,
 )
 
@@ -82,17 +84,8 @@ def _lift(items: Iterable) -> list[QuadRational]:
     A rational value belongs to every field; irrational values from two
     different fields raise FieldMismatchError.
     """
-    rad = None
-    lifted = []
-    for v in items:
-        if not isinstance(v, QuadRational):
-            v = QuadRational(v)
-        elif not v.is_rational:
-            if rad is None:
-                rad = v.d
-            elif rad != v.d:
-                raise FieldMismatchError(f"values mix sqrt({rad}) and sqrt({v.d})")
-        lifted.append(v)
+    lifted = [v if isinstance(v, QuadRational) else QuadRational(v) for v in items]
+    _field(lifted)
     return lifted
 
 
@@ -125,34 +118,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    @property
-    def is_rational(self) -> bool:
-        return all(c.is_rational for c in self._coeffs)
-
     def coefficient(self, k: int) -> QuadRational:
         """The coefficient of z^-k (zero outside the stored range)."""
         if 0 <= k < len(self._coeffs):
             return self._coeffs[k]
         return _ZERO
-
-    def lead_delay(self) -> int | None:
-        """Index of the first nonzero coefficient, or None for zero."""
-        for k, c in enumerate(self._coeffs):
-            if c:
-                return k
-        return None
-
-    def unshifted(self, k: int) -> "Polynomial":
-        """Divide by z^-k; the dropped coefficients must all be zero."""
-        if any(self._coeffs[:k]):
-            raise ValueError(f"polynomial has no factor z^-{k}")
-        return Polynomial(self._coeffs[k:])
-
-    def shifted(self, k: int) -> "Polynomial":
-        """Multiply by z^-k."""
-        if k < 0:
-            raise ValueError(f"shift must be >= 0, got {k}")
-        return Polynomial((_ZERO,) * k + self._coeffs)
 
     def evaluate(self, w: Coefficient) -> QuadRational:
         """Exact value at z^-1 = w, by Horner's scheme."""
@@ -210,24 +180,31 @@ class Polynomial:
         return self * scalar.inv()
 
     def __divmod__(self, other) -> "tuple[Polynomial, Polynomial]":
-        """Long division: self = quotient*other + remainder, deg r < deg other."""
+        """Division with remainder: self = quotient*other + remainder, deg r < deg other.
+
+        Division by reversal (von zur Gathen & Gerhard, *Modern Computer
+        Algebra*, 9.1): the reversed quotient is the first deg self - deg
+        other + 1 series coefficients of rev(self)/rev(other).  Both are
+        scaled by the inverse of other's last coefficient, which is never zero
+        because trailing zeros are trimmed, so `_exact_quotient` divides by a
+        constant term 1.  The remainder is self - quotient*other, one
+        `_exact_product`.
+        """
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        dn = other.degree
-        if self.degree < dn:
+        count = self.degree - other.degree + 1
+        if count <= 0:
             return Polynomial(), self
-        rem = list(self._coeffs)
-        lead = other._coeffs[dn]
-        quot = [_ZERO] * (len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i] / lead
-            quot[i - dn] = c
-            if c:
-                for j in range(dn + 1):
-                    rem[i - dn + j] = rem[i - dn + j] - c * other._coeffs[j]
-        return Polynomial(quot), Polynomial(rem[:dn])
+        scale = other._coeffs[-1].inv()
+        rev = _exact_quotient(
+            [c * scale for c in reversed(self._coeffs[other.degree :])],
+            [c * scale for c in reversed(other._coeffs)],
+            count,
+        )
+        quot = Polynomial(rev[::-1])
+        return quot, self - quot * other
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -677,7 +654,7 @@ class PartialFractionTerm:
 
 @dataclass(frozen=True)
 class PartialFractionExpansion:
-    """Terms plus the finite polynomial part from long division."""
+    """Terms plus the finite polynomial part from polynomial division."""
 
     terms: tuple[PartialFractionTerm, ...]
     poly_part: Polynomial
@@ -742,11 +719,11 @@ def _series_at_pole(coeffs, inv, m: int, zero) -> list:
 def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     """Expand N/D into first- and higher-order pole terms plus a finite part.
 
-    Long division first leaves a remainder R of degree below D's.  Each pole
-    p of multiplicity m then gets its residues by the cover-up rule: with
-    D = (1 - p z^-1)^m * Q, the coefficients of orders m, m-1, ..., 1 are the
-    first m Taylor coefficients of R/Q in u = 1 - p z^-1 at u = 0.  Exact and
-    numeric (complex) poles share this one computation.
+    Division with remainder first leaves a remainder R of degree below D's.
+    Each pole p of multiplicity m then gets its residues by the cover-up
+    rule: with D = (1 - p z^-1)^m * Q, the coefficients of orders m, m-1,
+    ..., 1 are the first m Taylor coefficients of R/Q in u = 1 - p z^-1 at
+    u = 0.  Exact and numeric (complex) poles share this one computation.
     """
     poles = sys.poles()
     quot, rem = divmod(sys.numerator, sys.denominator)
@@ -834,33 +811,23 @@ def inverse_z(
 def reciprocal_system(sys: RationalSystem) -> RationalSystem:
     """The system with z replaced by 1/z, as a causal-form representative.
 
-    The literal substitution leaves an extra pure-delay factor z^-k and
-    possibly a sign -1 once everything is rewritten in nonnegative powers of
-    z^-1.  Both factors have unit modulus on the unit circle, so they are
-    stripped: the result has denominator constant term 1 and a positive
-    leading numerator coefficient, and its poles are exactly the reciprocals
-    of the original ones.
+    With deg N <= deg D = K, N(z)/D(z) = z^(deg N - K) rev(N)/rev(D) in z^-1,
+    where rev reverses a coefficient list.  The pure delay and a sign -1 both
+    have unit modulus on the unit circle, so they are stripped: the result is
+    rev(N)/rev(D) with denominator constant term 1 (d_K != 0, since trailing
+    zeros are trimmed) and a positive leading numerator coefficient, and its
+    poles are exactly the reciprocals of the original ones.  deg N > K leaves
+    the advance z^(deg N - K), which has no causal form, so it raises
+    MalformedSystemError.
     """
     num, den = sys.numerator, sys.denominator
-    span = max(num.degree, den.degree, 0)
-    rnum = Polynomial([num.coefficient(span - i) for i in range(span + 1)])
-    rden = Polynomial([den.coefficient(span - i) for i in range(span + 1)])
-    delays = [p.lead_delay() for p in (rnum, rden) if p.lead_delay() is not None]
-    shared = min(delays) if delays else 0
-    if shared:
-        rnum = rnum.unshifted(shared)
-        rden = rden.unshifted(shared)
-    if not rden.coefficient(0):
+    if num.degree > den.degree:
         raise MalformedSystemError("reciprocal system has no causal representation")
-    own = rnum.lead_delay()
-    if own:
-        rnum = rnum.unshifted(own)
     poles = None
     if sys.pole_factors is not None:
         poles = [Pole(p.value.inv(), p.multiplicity) for p in sys.pole_factors]
-    flipped = RationalSystem(rnum, rden, poles)
-    lead = flipped.numerator.lead_delay()
-    if lead is not None and flipped.numerator.coefficient(lead).sign() < 0:
+    flipped = RationalSystem(num.coeffs[::-1], den.coeffs[::-1], poles)
+    if not flipped.numerator.is_zero and flipped.numerator.coeffs[0].sign() < 0:
         flipped = RationalSystem(-flipped.numerator, flipped.denominator, poles)
     return flipped
 

@@ -375,11 +375,7 @@ class QuadRational:
         """
         if self._b == 0:
             return float(self._a)
-        qa = self._a.denominator
-        qb = self._b.denominator
-        q = qa * qb // math.gcd(qa, qb)
-        big_a = self._a.numerator * (q // qa)
-        big_b = self._b.numerator * (q // qb)
+        (big_a,), (big_b,), q = _scaled((self,))
         shift = 64
         while True:
             root = math.isqrt(big_b * big_b * self._d << (2 * shift))
@@ -430,6 +426,18 @@ def sqrt_exact(x: "RationalLike | QuadRational") -> QuadRational | None:
         if cand * cand == x:
             return abs(cand)
     return None
+
+
+def _field(values) -> int:
+    """The radicand of the irrational values, 0 if every value is rational.
+
+    Raises FieldMismatchError when the irrational values come from two fields.
+    """
+    fields = {v._d for v in values if v._b}
+    if len(fields) > 1:
+        d1, d2 = sorted(fields)[:2]
+        raise FieldMismatchError(f"cannot combine sqrt({d1}) and sqrt({d2}) values")
+    return fields.pop() if fields else 0
 
 
 def _scaled(values) -> tuple[list[int], list[int], int]:
@@ -486,16 +494,12 @@ def _exact_product(xs, hs) -> list[QuadRational]:
     A*A', B*B' and (A+B)*(A'+B').  Operands with irrational parts from two
     fields raise FieldMismatchError.
     """
-    dx = next((v.d for v in xs if v.b), None)
-    dh = next((v.d for v in hs if v.b), None)
-    if dx is not None and dh is not None and dx != dh:
-        raise FieldMismatchError(f"cannot combine sqrt({dx}) and sqrt({dh}) values")
-    d = dx or dh
+    d = _field((*xs, *hs))
     ax, bx, lx = _scaled(xs)
     ah, bh, lh = _scaled(hs)
     den = lx * lh
     p = _int_convolve(ax, ah)
-    if d is None:
+    if not d:
         rows = [(a, 0) for a in p]
     else:
         q = _int_convolve(bx, bh)
@@ -515,10 +519,7 @@ def _exact_quotient(us, ds, count: int) -> list[QuadRational]:
     longer than `count`.  Values with irrational parts from two fields
     raise FieldMismatchError.
     """
-    fields = sorted({v.d for v in (*us, *ds) if v.b})
-    if len(fields) > 1:
-        raise FieldMismatchError(f"cannot combine sqrt({fields[0]}) and sqrt({fields[1]}) values")
-    d = fields[0] if fields else 0
+    d = _field((*us, *ds))
     au, bu, m = _scaled(us[:count])
     ad, bd, lden = _scaled(ds)
     taps = [(ad[k] * lden ** (k - 1), bd[k] * lden ** (k - 1)) for k in range(1, len(ds))]

@@ -1,24 +1,26 @@
 """Time- and frequency-domain responses of the exact rational systems.
 
-Time-domain paths are exact unless an input window holds floats, which
-makes the result inexact.  The difference-equation simulator runs the
-recursion once in big integers (`qfield._exact_quotient`: coefficients
-scaled to a common denominator, each output reduced once), `convolve`
-multiplies two exact windows as polynomials by Kronecker substitution (one
-big-int product per component), and the closed forms are `inverse_z` pole
-sums in Q(sqrt(5)) over the expansions of their systems.  The frequency
-side is a formal evaluation of the coefficient polynomials on the unit
-circle, computed in floats on a uniform [0, pi] grid; it deliberately
-ignores whether any region of convergence actually contains the circle,
-and says so in its metadata.  Only the
-frequency-side functions use numpy, and each imports it itself, so the
-time-domain paths run without loading it.
+Time-domain paths are exact unless an input window holds floats.  The
+difference-equation simulator runs the recursion once in big integers
+(`qfield._exact_quotient`: coefficients scaled to a common denominator, each
+output reduced once), `convolve` multiplies two windows as polynomials by
+Kronecker substitution (one big-int product per component), and the closed
+forms are `inverse_z` pole sums in Q(sqrt(5)) over the expansions of their
+systems.  A float window enters both kernels as the exact binary values of
+its floats, and each output is rounded to a float once, so the result is
+inexact but correctly rounded.  The frequency side is a formal evaluation
+of the coefficient polynomials on the unit circle, computed in floats on a
+uniform [0, pi] grid; it deliberately ignores whether any region of
+convergence actually contains the circle, and says so in its metadata.
+Only the frequency-side functions use numpy, and each imports it itself, so
+the time-domain paths run without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .lti import (
@@ -32,7 +34,7 @@ from .lti import (
     min_phase_system,
     partial_fractions,
 )
-from .qfield import _exact_product, _exact_quotient
+from .qfield import QuadRational, _exact_product, _exact_quotient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,56 +73,52 @@ def make_step(length: int) -> Signal:
     return Signal(0, (1,) * length)
 
 
+def _exact_values(x: SequenceWindow) -> tuple:
+    """The window's values as field elements; a float becomes its exact binary value."""
+    return x.values if x.exact else tuple(QuadRational(Fraction(v)) for v in x.values)
+
+
+def _window(n0: int, values: list, exact: bool) -> SequenceWindow:
+    """The exact outputs as a window, or each rounded once to a float when not `exact`."""
+    if exact:
+        return SequenceWindow(n0, values)
+    try:
+        return SequenceWindow(n0, [float(v) for v in values])
+    except OverflowError:
+        raise OverflowError(f"window [{n0}, {n0 + len(values) - 1}] leaves float range") from None
+
+
 def simulate_difference_equation(sys: RationalSystem, x: Signal, n1: int) -> SequenceWindow:
     """Run the recursion the coefficients define, causally and exactly.
 
     y(n) = sum_k num[k] x(n-k) - sum_{k>=1} den[k] y(n-k) with zero initial
     state, for n from x.n0 through n1.  Coefficients may be exact field
-    elements (the minimum-phase system exercises that).  An exact input is
-    the series of (num * x)/den: `_exact_product` forms num * x and
+    elements (the minimum-phase system exercises that).  The output is the
+    series of (num * x)/den: `_exact_product` forms num * x and
     `_exact_quotient` runs the recursion once in big integers, scaled to a
-    common denominator, reducing each output once.  An inexact (float)
-    input makes the output inexact: the coefficients are converted with
-    float() and the recursion runs in floats.
+    common denominator, reducing each output once.  A float input enters as
+    the exact binary values of its floats, and each output is rounded to a
+    float once; an output beyond float range raises OverflowError.
     """
     if n1 < x.n0:
         raise ValueError(f"n1 = {n1} precedes the input start {x.n0}")
-    num = sys.numerator.coeffs
-    den = sys.denominator.coeffs
-    count = n1 - x.n0 + 1
-    if x.exact:
-        return SequenceWindow(x.n0, _exact_quotient(_exact_product(num, x.values), den, count))
-    xs = x.values
-    b = [float(c) for c in num]
-    a = [float(c) for c in den]
-    ys: list[float] = []
-    for j in range(count):
-        acc = sum((bk * xs[j - k] for k, bk in enumerate(b) if 0 <= j - k < len(xs)), 0.0)
-        acc -= sum(a[k] * ys[j - k] for k in range(1, min(j, len(a) - 1) + 1))
-        ys.append(acc)
-    return SequenceWindow(x.n0, ys)
+    u = _exact_product(sys.numerator.coeffs, _exact_values(x))
+    ys = _exact_quotient(u, sys.denominator.coeffs, n1 - x.n0 + 1)
+    return _window(x.n0, ys, x.exact)
 
 
 def convolve(x: SequenceWindow, h: SequenceWindow) -> SequenceWindow:
     """Finite convolution of two windows: exact unless either window is inexact.
 
-    Two exact windows convolve by one big-int product per component
-    (`qfield._exact_product`).  An inexact (float) window makes the result
-    inexact: exact values are converted with float() and multiplied in a
-    plain loop.
+    The windows convolve by one big-int product per component
+    (`qfield._exact_product`).  A float window enters as the exact binary
+    values of its floats, and each output is rounded to a float once; an
+    output beyond float range raises OverflowError.
     """
     if not x.values or not h.values:
         raise ValueError("convolution needs nonempty inputs")
-    if x.exact and h.exact:
-        return SequenceWindow(x.n0 + h.n0, _exact_product(x.values, h.values))
-    xv = [float(v) for v in x.values]
-    hv = [float(v) for v in h.values]
-    out = [None] * (len(xv) + len(hv) - 1)
-    for i, a in enumerate(xv):
-        for j, b in enumerate(hv):
-            prod = a * b
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return SequenceWindow(x.n0 + h.n0, out)
+    ys = _exact_product(_exact_values(x), _exact_values(h))
+    return _window(x.n0 + h.n0, ys, x.exact and h.exact)
 
 
 def _causal_impulse_response(sys: RationalSystem, n1: int) -> SequenceWindow:

@@ -1,5 +1,6 @@
 # tests/test_golden.py
-"""Byte-for-byte CLI output for the README commands.
+"""Byte-for-byte CLI output for the README commands, plus an improper system
+(numerator degree above the denominator's) whose polynomial part is nonzero.
 
 Each case's stdout is stored under tests/golden/<id>.txt.  Regenerate the
 files (only after a deliberate output change) with
@@ -31,6 +32,8 @@ CASES = {
     "cascade-impz": ["cascade", "--den-a", "1,-1,-1", "--den-b", "1,-1,-1", "--impz", "0", "9"],
     "minphase-10": ["minphase", "--to", "10"],
     "analyze": ["analyze", "--den", "1,-1,-1"],
+    "analyze-improper": ["analyze", "--num", "1,2,3,4", "--den", "1,-1,-1"],
+    "impz-improper": ["impz", "--num", "1,2,3,4", "--den", "1,-1,-1", "--from", "-2", "--to", "6"],
     "freqz-513": ["freqz", "--den", "1,-1,-1", "--points", "513"],
     "freqz-features": ["freqz", "--den", "1,-1,-1", "--points", "513", "--features"],
     "props": ["props", "--nmax", "500", "--ratio-tol", "1e-3", "--forms", "50"],

@@ -107,16 +107,21 @@ COMPONENTS = st.one_of(
 )
 
 
+def field_coefficients(d):
+    """Rational coefficients built in any field, plus irrational ones in Q(sqrt(d))."""
+    coeff = st.builds(QuadRational, COMPONENTS, st.just(0), st.sampled_from([2, 3, 5]))
+    if d is None:
+        return coeff
+    return st.one_of(coeff, st.builds(QuadRational, COMPONENTS, COMPONENTS, st.just(d)))
+
+
 @st.composite
 def polynomial_pairs(draw):
     """Two polynomials over Q or Q(sqrt(d)); rational coefficients are built in any field."""
     d = draw(st.sampled_from([2, 3, 5]))
     pair = []
     for field_d in draw(st.sampled_from([(None, None), (d, None), (None, d), (d, d)])):
-        coeff = st.builds(QuadRational, COMPONENTS, st.just(0), st.sampled_from([2, 3, 5]))
-        if field_d is not None:
-            coeff = st.one_of(coeff, st.builds(QuadRational, COMPONENTS, COMPONENTS, st.just(field_d)))
-        pair.append(Polynomial(draw(st.lists(coeff, min_size=1, max_size=12))))
+        pair.append(Polynomial(draw(st.lists(field_coefficients(field_d), min_size=1, max_size=12))))
     return pair
 
 
@@ -158,16 +163,69 @@ def test_polynomial_evaluate_matches_fraction_oracle():
         assert p.evaluate(w) == ref
 
 
-def test_polynomial_divmod_property():
-    rng = np.random.default_rng(47)
-    for _ in range(30):
-        num = random_poly(rng, max_degree=6)
-        den = random_poly(rng, max_degree=3)
-        if den.is_zero:
-            continue
-        quot, rem = divmod(num, den)
-        assert quot * den + rem == num
-        assert rem.is_zero or rem.degree < den.degree
+def long_division(num, den):
+    """The long-division loop `Polynomial.__divmod__` replaced."""
+    dn = den.degree
+    if num.degree < dn:
+        return Polynomial(), num
+    rem = list(num.coeffs)
+    lead = den.coeffs[dn]
+    quot = [QuadRational(0)] * (len(rem) - dn)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i] / lead
+        quot[i - dn] = c
+        if c:
+            for j in range(dn + 1):
+                rem[i - dn + j] = rem[i - dn + j] - c * den.coeffs[j]
+    return Polynomial(quot), Polynomial(rem[:dn])
+
+
+@st.composite
+def division_pairs(draw):
+    """A dividend (possibly zero) and a divisor of any degree with any last coefficient.
+
+    Both are over Q or one Q(sqrt(d)); now and then the divisor's field differs.
+    """
+    d = draw(st.sampled_from([None, 2, 3, 5]))
+    coeff = field_coefficients(d)
+    num = Polynomial(draw(st.lists(coeff, max_size=8)))
+    den_coeff = field_coefficients(draw(st.sampled_from([d, d, d, None, 2, 3, 5])))
+    den = draw(st.lists(den_coeff, max_size=4)) + [draw(den_coeff.filter(bool))]
+    return num, Polynomial(den)
+
+
+ROOT2, ROOT3 = QuadRational(0, 1, 2), QuadRational(0, 1, 3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(division_pairs())
+# A zero dividend, a degree-0 divisor and a non-monic irrational divisor.
+@example((Polynomial(), Polynomial([1, -1, -1])))
+@example((Polynomial([1, 2, 3, 4]), Polynomial([Fraction(-2, 3)])))
+@example((Polynomial([1, 2, 3, 4]), Polynomial([1, -1, -1])))
+@example((Polynomial([ROOT2, 0, 1, 5]), Polynomial([1, ROOT2, QuadRational(3, 2, 2)])))
+# Two fields: the quotient 2/(2 sqrt 2 - 1/3) and the untouched remainder
+# 9/2 - 4 sqrt 3 never meet, so the long division succeeds.
+@example((
+    Polynomial([QuadRational(Fraction(9, 2), -4, 3), 2]),
+    Polynomial([0, QuadRational(Fraction(-1, 3), 2, 2)]),
+))
+@example((Polynomial([0, 0, ROOT2]), Polynomial([1, ROOT3])))
+def test_polynomial_divmod_property(pair):
+    num, den = pair
+    try:
+        want = long_division(num, den)
+    except FieldMismatchError:
+        with pytest.raises(FieldMismatchError):
+            divmod(num, den)
+        return
+    quot, rem = divmod(num, den)
+    assert (quot, rem) == want
+    # Equal rational values have one repr, so this checks .d too.
+    assert [repr(c) for c in rem.coeffs] == [repr(c) for c in want[1].coeffs]
+    assert [repr(c) for c in quot.coeffs] == [repr(c) for c in want[0].coeffs]
+    assert quot * den + rem == num
+    assert rem.is_zero or rem.degree < den.degree
 
 
 def test_polynomial_irrational_coefficients_share_one_field():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiblti.lti import (
+    MalformedSystemError,
     RationalSystem,
     accumulator_system,
     cascade,
@@ -322,6 +323,72 @@ def test_simulating_a_float_input_is_inexact():
     assert not zero.exact and zero.values == (0.0, 0.0, 0.0)
 
 
+# Finite floats from subnormal up to 1e6, with and without a fraction part.
+FLOATS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(-1000, 1000).map(float),
+    st.sampled_from([5e-324, -2.5e-310, 0.1, -0.0]),
+)
+
+
+@st.composite
+def float_windows(draw):
+    """A nonempty float window: an empty one is exact."""
+    return Signal(draw(st.integers(-20, 20)), draw(st.lists(FLOATS, min_size=1, max_size=8)))
+
+
+def exact_twin(x):
+    """The window with each float replaced by its exact binary value."""
+    return x if x.exact else Signal(x.n0, [Fraction(v) for v in x.values])
+
+
+def rounded(y):
+    return tuple(float(v) for v in y.values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(recursions(), float_windows())
+def test_simulating_a_float_input_rounds_the_exact_result_once(case, x):
+    sys_, _, _ = case
+    n1 = x.n0 + 20
+    want = simulate_difference_equation(sys_, exact_twin(x), n1)
+    try:
+        want = rounded(want)
+    except OverflowError:
+        with pytest.raises(OverflowError, match="leaves float range"):
+            simulate_difference_equation(sys_, x, n1)
+        return
+    y = simulate_difference_equation(sys_, x, n1)
+    assert not y.exact and y.n0 == x.n0 and y.values == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(float_windows(), window_pairs())
+def test_convolving_a_float_window_rounds_the_exact_result_once(x, pair):
+    h = pair[0]
+    for a, b in ((x, h), (h, x), (x, exact_twin(x))):
+        y = convolve(a, b)
+        assert not y.exact and y.n0 == a.n0 + b.n0
+        assert y.values == rounded(convolve(exact_twin(a), exact_twin(b)))
+
+
+def test_float_outputs_beyond_float_range_raise():
+    # From about n = 1475 on, 1.5 f(n+1) exceeds the largest float.
+    with pytest.raises(OverflowError, match=r"window \[0, 2000\] leaves float range"):
+        simulate_difference_equation(fibonacci_system(), Signal(0, [1.5]), 2000)
+    with pytest.raises(OverflowError, match=r"window \[2, 3\] leaves float range"):
+        convolve(Signal(1, [1e300, 1.0]), Signal(1, [1e300]))
+    assert simulate_difference_equation(fibonacci_system(), Signal(0, [1.5]), 1400).values[-1] > 1e292
+
+
+def test_non_finite_float_inputs_raise():
+    # inf and nan have no exact binary value.
+    with pytest.raises(OverflowError):
+        simulate_difference_equation(fibonacci_system(), Signal(0, [math.inf]), 2)
+    with pytest.raises(ValueError):
+        convolve(Signal(0, [math.nan]), Signal(0, [1]))
+
+
 def test_scaling_an_inexact_window_by_a_field_element_is_inexact():
     y = Signal(0, [1.5, -2.0]).scaled(PHI)
     assert not y.exact
@@ -444,6 +511,38 @@ def test_reciprocal_magnitude_is_identical():
     assert cmp.within(1e-12)
     assert cmp.ratio_min == pytest.approx(1.0, abs=1e-12)
     assert cmp.ratio_max == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def flippable_systems(draw):
+    """A system over Q or one Q(sqrt(d)) whose numerator degree may exceed its denominator's."""
+    values = small_values(draw(st.sampled_from([None, *FIELDS])))
+    num = draw(st.lists(values, max_size=6))
+    den = [draw(values.filter(bool)), *draw(st.lists(values, max_size=4))]
+    return RationalSystem(num, den)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(flippable_systems())
+@example(RationalSystem([0, 0, 1], [1, -1]))
+@example(RationalSystem([0, 0, 1], [1, -1, -1]))
+@example(RationalSystem([], [1, -1]))
+@example(min_phase_system())
+def test_reciprocal_exists_iff_the_numerator_degree_fits(sys_):
+    if sys_.numerator.degree > sys_.denominator.degree:
+        with pytest.raises(MalformedSystemError):
+            reciprocal_system(sys_)
+        return
+    flipped = reciprocal_system(sys_)
+    assert flipped.denominator.coeffs[0] == 1
+    assert flipped.numerator.is_zero or flipped.numerator.coeffs[0] > 0
+    if sys_.pole_factors is not None:
+        want = sorted((p.value.inv(), p.multiplicity) for p in sys_.pole_factors)
+        assert sorted((p.value, p.multiplicity) for p in flipped.pole_factors) == want
+    # |H(1/z)| = |H(z)| on the unit circle, away from poles on it.
+    ga, gb = freq_response(sys_), freq_response(flipped)
+    ok = np.isfinite(ga.magnitude) & np.isfinite(gb.magnitude) & (ga.magnitude < 1e6)
+    assert gb.magnitude[ok] == pytest.approx(ga.magnitude[ok], rel=1e-9, abs=1e-12)
 
 
 def test_min_phase_magnitude_ratio_span():
