@@ -5,8 +5,9 @@ Transfer functions are ratios of polynomials in z^-1 with exact coefficients
 Denominators of degree <= 2 factor exactly, either over the
 rationals or over a real quadratic field; higher degrees keep exactness only
 when a factored pole multiset is carried along (as `cascade` does) and
-otherwise fall back to a numeric root finder (`np.roots`; numpy is imported
-inside `_numeric_poles`, the only place that uses it).  Regions of
+otherwise fall back to a numeric root finder in plain Python (Aberth–Ehrlich,
+then one Newton step in integer arithmetic for rational coefficients, so a
+simple pole is the correctly rounded root).  Regions of
 convergence are open annuli between pole moduli.  Partial-fraction residues
 come from the cover-up rule, each pole's from its own cofactor, and the
 inverse transform is computed per term as a right- or left-sided sequence
@@ -19,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import float_info
 from typing import Iterable, NamedTuple, Union
 
 from .qfield import (
@@ -29,6 +31,7 @@ from .qfield import (
     _exact_product,
     _exact_quotient,
     _field,
+    _scaled,
     sqrt_exact,
 )
 
@@ -62,6 +65,8 @@ Coefficient = Union[int, Fraction, QuadRational]
 _NUMERIC_RESIDUAL_TOL = 1e-10
 #: Relative distance under which numeric roots merge into one multiple pole.
 _NUMERIC_CLUSTER_TOL = 1e-6
+#: Sweeps after which the Aberth–Ehrlich root finder stops, converged or not.
+_ABERTH_MAX_SWEEPS = 100
 #: Relative distance under which two pole moduli count as one circle.
 _MODULUS_TOL = 1e-9
 
@@ -536,7 +541,9 @@ def find_poles(den) -> list[Pole]:
     Degree 1 factors exactly over the rationals; degree 2 factors exactly
     over the rationals or a real quadratic field when the discriminant allows
     it; everything else (including complex pairs) uses the numeric fallback
-    and is flagged inexact.  Poles are sorted by modulus.
+    (`_numeric_poles`: Aberth–Ehrlich in floats, then one exact Newton step)
+    and is flagged inexact.  Numeric non-real poles come in exact conjugate
+    pairs.  Poles are sorted by modulus.
     """
     den = _as_poly(den)
     if den.is_zero:
@@ -574,10 +581,20 @@ def _quadratic_poles(c) -> "list[Pole] | None":
 
 
 def _numeric_poles(den: Polynomial) -> list[Pole]:
-    import numpy as np
+    """Numeric poles: float roots, clustered and checked, then one exact Newton step.
 
+    Roots come from `_aberth_roots`, each polished by float Newton steps and
+    made closed under conjugation (`_conjugate_pairs`).  Roots within a
+    relative `_NUMERIC_CLUSTER_TOL` of one another merge into one pole of
+    that multiplicity m at their mean, which must pass the residual check.
+    A denominator with rational coefficients then refines each mean on the
+    (m-1)-th derivative, where an m-fold root is simple: float Newton steps
+    for m > 1, then one `_exact_newton` step, so a simple pole is the
+    correctly rounded root.
+    """
     coeffs = den.float_coeffs()  # z-polynomial, highest power of z first
-    roots = [_polish_root(coeffs, complex(z)) for z in np.roots(coeffs)]
+    roots = _conjugate_pairs([_polish_root(coeffs, z) for z in _aberth_roots(coeffs)])
+    ints, irrational, _ = _scaled(den.coeffs)
     clusters: list[list[complex]] = []
     for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
         for cluster in clusters:
@@ -598,8 +615,109 @@ def _numeric_poles(den: Polynomial) -> list[Pole]:
             raise ArithmeticError(
                 f"numeric root finder residual {residual:.3e} exceeds tolerance"
             )
+        if not any(irrational):
+            m = len(cluster)
+            if m > 1:
+                z = _polish_root(_derivative(coeffs, m - 1), z)
+            z = _exact_newton(_derivative(ints, m - 1), z)
+        if abs(z.real) <= 1e-12 * abs(z.imag):
+            # On the imaginary axis, where Newton's step leaves a residue.
+            z = complex(0.0, z.imag)
         poles.append(Pole(z, len(cluster)))
     return sorted(poles, key=_pole_sort_key)
+
+
+def _aberth_roots(coeffs: list[float]) -> list[complex]:
+    """All roots of a float polynomial (highest power first), by Aberth–Ehrlich.
+
+    The n approximations start on the circle of radius |c_n/c_0|^(1/n), the
+    geometric mean of the root moduli, rotated 0.7 rad off the axes (Bini
+    1996, *Numer. Algorithms* 13).  Each sweep moves every approximation in
+    place by Newton's correction with the others deflated (Aberth 1973,
+    *Math. Comp.* 27): z_i -= p / (p' - p * sum_{j != i} 1/(z_i - z_j)).  An
+    approximation stops once |p(z_i)| is within the rounding error of
+    evaluating p there.
+    """
+    n = len(coeffs) - 1
+    radius = abs(coeffs[-1] / coeffs[0]) ** (1 / n)
+    zs = [cmath.rect(radius, 0.7 + 2 * math.pi * k / n) for k in range(n)]
+    terms = [(cf, 4 * n * float_info.epsilon * abs(cf)) for cf in coeffs]
+    live = [True] * n
+    for _ in range(_ABERTH_MAX_SWEEPS):
+        for i, z in enumerate(zs):
+            if not live[i]:
+                continue
+            p = dp = 0j
+            bound = 0.0
+            mod = abs(z)
+            for cf, err in terms:
+                dp = dp * z + p
+                p = p * z + cf
+                bound = bound * mod + err
+            if abs(p) <= bound:
+                live[i] = False
+                continue
+            step = dp - p * sum(1 / (z - y) for y in zs if y != z)
+            if step:
+                zs[i] = z - p / step
+        if not any(live):
+            break
+    return zs
+
+
+def _conjugate_pairs(roots: list[complex]) -> list[complex]:
+    """Float roots of a real polynomial, made closed under conjugation.
+
+    A root within a relative 1e-12 of the real axis becomes real.  Each root
+    above the axis takes the root below it nearest its conjugate as its exact
+    conjugate; a root left without a partner becomes real.
+    """
+    out: list[complex] = []
+    upper: list[complex] = []
+    lower: list[complex] = []
+    for z in roots:
+        if abs(z.imag) <= 1e-12 * abs(z.real):
+            out.append(complex(z.real, 0.0))
+        else:
+            (upper if z.imag > 0 else lower).append(z)
+    for z in upper:
+        if lower:
+            lower.remove(min(lower, key=lambda y: abs(y - z.conjugate())))
+            out += [z, z.conjugate()]
+        else:
+            out.append(complex(z.real, 0.0))
+    return out + [complex(z.real, 0.0) for z in lower]
+
+
+def _derivative(coeffs: list, order: int) -> list:
+    """Coefficients, highest power first, of the order-th derivative of a polynomial."""
+    n = len(coeffs) - 1
+    return [c * math.perm(n - k, order) for k, c in enumerate(coeffs[: n - order + 1])]
+
+
+def _exact_newton(ints: list[int], z: complex) -> complex:
+    """One Newton step from z on an integer polynomial, rounded once.
+
+    `ints` are the coefficients of p, highest power first, and n its degree.
+    Write z = w/q with w a Gaussian integer and q a power of two.  Horner's
+    scheme in integers gives P = q^n p(z) and D = q^(n-1) p'(z), and the
+    Newton step is (wD - P)/(qD).  Each part is one int/int true division,
+    which is correctly rounded.  Returns z unchanged where p' vanishes.
+    """
+    (xr, qr), (xi, qi) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    q = max(qr, qi)
+    wr, wi = xr * (q // qr), xi * (q // qi)
+    pr = pi = dr = di = 0
+    qk = 1  # q^k
+    for c in ints:
+        dr, di = dr * wr - di * wi + pr, dr * wi + di * wr + pi
+        pr, pi = pr * wr - pi * wi + c * qk, pr * wi + pi * wr
+        qk *= q
+    norm = dr * dr + di * di
+    if not norm:
+        return z
+    nr, ni = wr * dr - wi * di - pr, wr * di + wi * dr - pi
+    return complex((nr * dr + ni * di) / (q * norm), (ni * dr - nr * di) / (q * norm))
 
 
 def _horner(coeffs, z: complex) -> complex:

@@ -324,6 +324,10 @@ class QuadRational:
             return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
             return self._b == 0 and self._a == other
+        if isinstance(other, float):
+            # As Fraction does: a finite float by its exact value, and no
+            # field element equals inf or nan.
+            return math.isfinite(other) and self._b == 0 and self._a == Fraction(other)
         return NotImplemented
 
     def __hash__(self) -> int:

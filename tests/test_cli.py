@@ -479,7 +479,11 @@ print(json.dumps([code, "numpy" in sys.modules]))
     (["cascade", "--den-a", "1,-1,-1", "--den-b", "1,-1", "--impz", "0", "5"], False),
     (["respond", "--input", "{signal}", "--to", "5"], False),
     (["freqz", "--den", "1,-1,-1", "--points", "9"], True),
-    (["impz", "--den", "1,-1,-1,-1", "--from", "0", "--to", "5"], True),
+    # Numeric poles (degree >= 3) are found in plain Python.
+    (["impz", "--den", "1,-1,-1,-1", "--from", "0", "--to", "5"], False),
+    (["analyze", "--den", "1,-1/2,-1/3,1/7"], False),
+    (["cascade", "--den-a", "1,-1,-1,-1", "--den-b", "1,-1", "--impz", "0", "5"], False),
+    (["respond", "--den", "1,-1,-1,-1", "--input", "{signal}", "--to", "5"], False),
 ], ids=lambda v: " ".join(v) or "import" if isinstance(v, list) else None)
 def test_numpy_is_imported_only_where_used(tmp_path, argv, loads_numpy):
     signal = tmp_path / "signal.txt"

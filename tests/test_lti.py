@@ -296,6 +296,69 @@ def test_numeric_repeated_pole_is_clustered():
     ]
 
 
+def _den_from_text(text: str) -> Polynomial:
+    return Polynomial([Fraction(c) for c in text.split(",")])
+
+
+def test_numeric_double_pole_is_exact():
+    # (1 - 2z^-1)^2 (1 + z^-1/9)(1 - z^-1/100000).  At a double pole Newton's
+    # step on the denominator itself leaves the pole off the axis; the step
+    # runs on the derivative, where the pole is simple.
+    poles = find_poles(_den_from_text("1,-3500009/900000,640007/180000,12499/28125,-1/225000"))
+    assert Pole(2 + 0j, 2) in poles
+    assert sorted(p.multiplicity for p in poles) == [1, 1, 2]
+
+
+def test_numeric_poles_are_closed_under_conjugation():
+    # The triple pole 1/2 still splits, but never into an unpaired non-real pole.
+    def key(z):
+        return (z.real, z.imag)
+
+    poles = find_poles(_den_from_text("1,-3/2,3/4,-1/8"))
+    values = sorted((p.as_complex() for p in poles for _ in range(p.multiplicity)), key=key)
+    assert len(values) == 3
+    assert sorted((z.conjugate() for z in values), key=key) == values
+
+
+_SMALL = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _known_roots(draw):
+    """Distinct rational reals and pairs a +- bi (b != 0), 3 to 6 roots in all."""
+    roots: list = []
+    while len(roots) < 3 or (len(roots) < 6 and draw(st.booleans())):
+        if len(roots) <= 4 and draw(st.booleans()):
+            a, b = draw(_SMALL), draw(_SMALL.filter(bool))
+            new = [(a, abs(b)), (a, -abs(b))]
+        else:
+            new = [(draw(_SMALL.filter(bool)), Fraction(0))]
+        if not set(new) & set(roots):
+            roots += new
+    return roots
+
+
+@settings(derandomize=True, deadline=None)
+@given(_known_roots())
+# Poles 2, 1, -1/2, -2/3, -5/4: the float root finder alone gave -2/3 one ulp
+# off, at -0.6666666666666669.
+@example([(Fraction(r), Fraction(0)) for r in ("2", "1", "-1/2", "-2/3", "-5/4")])
+# Poles on the imaginary axis keep a zero real part.
+@example([(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1))])
+def test_numeric_poles_are_correctly_rounded_roots(roots):
+    den = Polynomial([1])
+    for a, b in roots:
+        if b > 0:
+            den = poly_mul(den, [1, -2 * a, a * a + b * b])
+        elif not b:
+            den = poly_mul(den, [1, -a])
+    poles = find_poles(den)
+    assert all(p.multiplicity == 1 for p in poles)
+    got = sorted((p.as_complex() for p in poles), key=lambda z: (z.real, z.imag))
+    want = sorted((complex(float(a), float(b)) for a, b in roots), key=lambda z: (z.real, z.imag))
+    assert got == want
+
+
 def test_system_normalizes_the_denominator_constant():
     assert RationalSystem([2], [2, -2, -2]) == fibonacci_system()
 

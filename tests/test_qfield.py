@@ -311,6 +311,22 @@ def test_irrational_values_in_different_fields_are_unequal():
     assert QuadRational(0, 1, 2) != Fraction(3, 2)
 
 
+def test_rational_values_equal_floats_by_exact_value():
+    # As Fraction compares: a finite float by its exact binary value.
+    assert QuadRational(0) == 0.0
+    assert 0.5 == QuadRational(Fraction(1, 2))
+    assert QuadRational(-3) == -3.0
+    assert QuadRational(Fraction(1, 3)) != 1 / 3
+    assert QuadRational(Fraction(1 / 3)) == 1 / 3
+    assert QuadRational(0, 1, 2) != float(QuadRational(0, 1, 2))
+    for x in (float("inf"), float("-inf"), float("nan")):
+        assert QuadRational(0) != x
+    # Equal values hash alike, so floats and field elements share dict keys.
+    for v in (0.0, 0.5, -3.0, 2.0**-60, 1e300):
+        assert hash(QuadRational(Fraction(v))) == hash(v)
+        assert {v: "hit"}[QuadRational(Fraction(v))] == "hit"
+
+
 # ---------------------------------------------------------
 # Exact-to-float conversion
 # ---------------------------------------------------------
