@@ -9,16 +9,21 @@ otherwise fall back to a numeric root finder in plain Python (Aberth–Ehrlich,
 then one Newton step in integer arithmetic for rational coefficients, so a
 simple pole is the correctly rounded root).  Regions of
 convergence are open annuli between pole moduli.  Partial-fraction residues
-come from the cover-up rule, each pole's from its own cofactor, and the
-inverse transform is computed per term as a right- or left-sided sequence
-depending on which side of the annulus the pole lies.
+come from the cover-up rule, each pole's from its own cofactor.  The inverse
+transform runs the system's recursion wherever one exists, so its samples
+are exact whatever the poles: the causal region reads the series of N/D in
+z^-1 and the innermost disc the series in z (both `qfield._exact_quotient`),
+and an exact two-sided region splits the terms by side, recombines each
+side and runs it causally or anticausally.  Only a numeric two-sided region
+(and an expansion passed without its system) sums the terms as right- or
+left-sided pole powers, in floats for numeric poles.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from sys import float_info
 from typing import Iterable, NamedTuple, Union
@@ -188,27 +193,20 @@ class Polynomial:
         """Division with remainder: self = quotient*other + remainder, deg r < deg other.
 
         Division by reversal (von zur Gathen & Gerhard, *Modern Computer
-        Algebra*, 9.1): the reversed quotient is the first deg self - deg
-        other + 1 series coefficients of rev(self)/rev(other).  Both are
-        scaled by the inverse of other's last coefficient, which is never zero
-        because trailing zeros are trimmed, so `_exact_quotient` divides by a
-        constant term 1.  The remainder is self - quotient*other, one
+        Algebra*, 9.1): the quotient's coefficients are samples 0..deg self -
+        deg other of the left-sided expansion of self/other, the series of
+        rev(self)/rev(other) (`_anticausal_series`), where the pole terms are
+        still zero.  The remainder is self - quotient*other, one
         `_exact_product`.
         """
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        count = self.degree - other.degree + 1
-        if count <= 0:
+        top = self.degree - other.degree
+        if top < 0:
             return Polynomial(), self
-        scale = other._coeffs[-1].inv()
-        rev = _exact_quotient(
-            [c * scale for c in reversed(self._coeffs[other.degree :])],
-            [c * scale for c in reversed(other._coeffs)],
-            count,
-        )
-        quot = Polynomial(rev[::-1])
+        quot = Polynomial(_anticausal_series(self, other, 0, top))
         return quot, self - quot * other
 
     def __eq__(self, other) -> bool:
@@ -772,10 +770,19 @@ class PartialFractionTerm:
 
 @dataclass(frozen=True)
 class PartialFractionExpansion:
-    """Terms plus the finite polynomial part from polynomial division."""
+    """Terms plus the finite polynomial part from polynomial division.
+
+    `system` is the system the expansion came from (`partial_fractions`
+    records it; numeric terms could not give it back), or None.  It decides
+    how `inverse_z` computes a window: with a system, every window whose
+    poles all lie on one side of the region, and every window of an exact
+    expansion, comes from the system's recursion; without one, every window
+    is the pole sum of the terms.  It takes no part in equality or repr.
+    """
 
     terms: tuple[PartialFractionTerm, ...]
     poly_part: Polynomial
+    system: "RationalSystem | None" = field(default=None, compare=False, repr=False)
 
     @property
     def exact(self) -> bool:
@@ -785,14 +792,19 @@ class PartialFractionExpansion:
         """Recombine the expansion over the common denominator (exact only)."""
         if not self.exact:
             raise ValueError("cannot reconstruct exactly from numeric terms")
-        poles = _collect_poles(self.terms)
-        den = _expand_factors(poles)
-        num = self.poly_part * den
-        factors = [(p.value, p.multiplicity) for p in poles]
-        for t in self.terms:
-            basis = Polynomial(_term_basis(t.pole.value, t.order, factors, _ONE))
-            num = num + basis * t.coefficient
-        return RationalSystem(num, den, poles)
+        return RationalSystem(*_recombine(self.terms, self.poly_part))
+
+
+def _recombine(terms, poly_part: Polynomial) -> tuple[Polynomial, Polynomial, tuple[Pole, ...]]:
+    """Numerator, denominator and pole multiset of exact terms plus a polynomial part."""
+    poles = _collect_poles(terms)
+    den = _expand_factors(poles)
+    num = poly_part * den
+    factors = [(p.value, p.multiplicity) for p in poles]
+    for t in terms:
+        basis = Polynomial(_term_basis(t.pole.value, t.order, factors, _ONE))
+        num = num + basis * t.coefficient
+    return num, den, poles
 
 
 def _collect_poles(terms: Iterable[PartialFractionTerm]) -> tuple[Pole, ...]:
@@ -864,7 +876,7 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
                 acc = acc - q[i] * series[k - i]
             series.append(acc / q[0])
         terms += [PartialFractionTerm(pole, j, series[m - j]) for j in range(1, m + 1)]
-    return PartialFractionExpansion(tuple(terms), quot)
+    return PartialFractionExpansion(tuple(terms), quot, sys)
 
 
 def _scalar_map(exact: bool):
@@ -885,29 +897,100 @@ def inverse_z(
 ) -> SequenceWindow:
     """Inverse transform on the window [n0, n1] for one region of convergence.
 
-    A pole on or inside the inner radius contributes the right-sided sequence
-    coefficient * C(n+m-1, m-1) * pole^n for n >= 0; a pole on or outside the
-    outer radius contributes the left-sided sequence
-    -coefficient * C(n+m-1, m-1) * pole^n for n <= -m.  A pole strictly
-    inside the annulus makes the region invalid.  The finite polynomial part
-    contributes at its literal delays.
+    A pole on or inside the inner radius contributes a right-sided term, a
+    pole on or outside the outer radius a left-sided one; a pole strictly
+    inside the annulus makes the region invalid.  When the expansion records
+    its system N/D, the window comes from the system's recursion, exactly:
 
-    Each term raises its pole once, at the end of its stretch nearest n = 0,
-    and steps away from there by the pole (up) or its inverse (down), so a
-    float power only shrinks: stepped up from a far negative n0 it would
-    start from an underflowed 0.
+    - every pole right-sided (the causal region): coefficients n0..n1 of the
+      series N/D in z^-1 (`_exact_quotient`);
+    - every pole left-sided (the innermost disc): with deg N = M, deg D = K
+      and N~, D~ the reversed coefficient lists, H = z^(K-M) N~(z)/D~(z),
+      whose Taylor series in z gives h(M-K-j) for j >= 0;
+    - an exact expansion with poles on both sides: each side recombines over
+      its own poles, the inner one with the polynomial part; the inner
+      system runs causally, the outer one anticausally, and the window is
+      their sum.
+
+    Otherwise -- a numeric two-sided region, an expansion without its system,
+    or N and D with irrational parts from two fields -- the window is the
+    pole sum (`_pole_sum`).
     """
     if n1 < n0:
         raise ValueError(f"empty window [{n0}, {n1}]")
+    right = [_right_sided(t.pole.modulus(), roc) for t in expansion.terms]
+    if expansion.system is not None and (expansion.exact or all(right) or not any(right)):
+        try:
+            return SequenceWindow(n0, _series_window(expansion, right, n0, n1))
+        except FieldMismatchError:
+            pass
+    return _pole_sum(expansion, right, n0, n1)
+
+
+def _series_window(expansion: PartialFractionExpansion, right: list[bool], n0: int, n1: int) -> list:
+    """The window's values from the recorded system's recursion, by the cases of `inverse_z`."""
+    sys = expansion.system
+    if all(right):
+        return _causal_series(sys.numerator, sys.denominator, n0, n1)
+    if not any(right):
+        return _anticausal_series(sys.numerator, sys.denominator, n0, n1)
+    inner = [t for t, r in zip(expansion.terms, right) if r]
+    outer = [t for t, r in zip(expansion.terms, right) if not r]
+    num, den, _ = _recombine(inner, expansion.poly_part)
+    values = _causal_series(num, den, n0, n1)
+    num, den, _ = _recombine(outer, Polynomial())
+    return [a + b for a, b in zip(values, _anticausal_series(num, den, n0, n1))]
+
+
+def _causal_series(num: Polynomial, den: Polynomial, n0: int, n1: int) -> list:
+    """h(n0..n1) of the right-sided expansion of N/D, D[0] = 1."""
+    if n1 < 0:
+        return [_ZERO] * (n1 - n0 + 1)
+    return [_ZERO] * -min(n0, 0) + _exact_quotient(num.coeffs, den.coeffs, n1 + 1, max(n0, 0))
+
+
+def _anticausal_series(num: Polynomial, den: Polynomial, n0: int, n1: int) -> list:
+    """h(n0..n1) of the left-sided expansion of N/D, read off rev(N)/rev(D).
+
+    Both reversed lists are scaled by 1/d_K, which is never zero because
+    trailing zeros are trimmed, so `_exact_quotient` divides by a constant
+    term 1.
+    """
+    top = num.degree - den.degree  # M - K, the last index that may be nonzero
+    if num.is_zero or n0 > top:
+        return [_ZERO] * (n1 - n0 + 1)
+    scale = den.coeffs[-1].inv()
+    count = top - n0 + 1
+    start = max(0, top - n1)
+    ys = _exact_quotient(
+        [c * scale for c in num.coeffs[::-1][:count]],
+        [c * scale for c in reversed(den.coeffs)],
+        count,
+        start,
+    )
+    return ys[::-1] + [_ZERO] * (n1 - top + start)
+
+
+def _pole_sum(expansion: PartialFractionExpansion, right: list[bool], n0: int, n1: int) -> SequenceWindow:
+    """The window as a sum over the expansion's terms.
+
+    A right-sided term contributes coefficient * C(n+m-1, m-1) * pole^n for
+    n >= 0, a left-sided one -coefficient * C(n+m-1, m-1) * pole^n for
+    n <= -m, and the finite polynomial part its literal delays.  Each term
+    raises its pole once, at the end of its stretch nearest n = 0, and steps
+    away from there by the pole (up) or its inverse (down), so a float power
+    only shrinks: stepped up from a far negative n0 it would start from an
+    underflowed 0.
+    """
     scalar = _scalar_map(expansion.exact)
     zero = scalar(_ZERO)
     poly = [scalar(c) for c in expansion.poly_part.coeffs]
     values = [poly[n] if 0 <= n < len(poly) else zero for n in range(n0, n1 + 1)]
     out_of_range = f"numeric window [{n0}, {n1}] leaves float range"
     try:
-        for t in expansion.terms:
+        for t, right_sided in zip(expansion.terms, right):
             c, p, m = scalar(t.coefficient), scalar(t.pole.value), t.order
-            if _right_sided(t.pole.modulus(), roc):
+            if right_sided:
                 ns, step = range(max(n0, 0), n1 + 1), p
             else:
                 ns, step, c = range(min(n1, -m), n0 - 1, -1), scalar(_ONE) / p, -c

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
@@ -509,19 +510,20 @@ def _exact_product(xs, hs) -> list[QuadRational]:
         q = _int_convolve(bx, bh)
         r = _int_convolve([a + b for a, b in zip(ax, bx)], [a + b for a, b in zip(ah, bh)])
         rows = [(pk + d * qk, rk - pk - qk) for pk, qk, rk in zip(p, q, r)]
-    return [QuadRational(Fraction(a, den), Fraction(b, den), d or 5) for a, b in rows]
+    return [QuadRational(Fraction(a, den), Fraction(b, den) if b else 0, d or 5) for a, b in rows]
 
 
-def _exact_quotient(us, ds, count: int) -> list[QuadRational]:
-    """The first `count` coefficients of U(z^-1)/D(z^-1) for field elements, D[0] = 1.
+def _exact_quotient(us, ds, count: int, start: int = 0) -> list[QuadRational]:
+    """Coefficients start..count-1 of U(z^-1)/D(z^-1) for field elements, D[0] = 1.
 
     The series y of U/D obeys y_j = u_j - sum_{k>=1} D_k y_{j-k}.  With U
     scaled to integers over M and D over L (`_scaled`), Y_j = M L^j y_j
     obeys Y_j = U_j L^j - sum_k (L D_k) L^(k-1) Y_{j-k}, a recursion in
     integer pairs A + B sqrt(d), so no tap builds or reduces a `Fraction`;
-    each output is reduced once, as Y_j / (M L^j).  U may be shorter or
-    longer than `count`.  Values with irrational parts from two fields
-    raise FieldMismatchError.
+    only the last deg D states are kept, and each output from `start` on is
+    reduced once, as Y_j / (M L^j).  U may be shorter or longer than
+    `count`.  Values with irrational parts from two fields raise
+    FieldMismatchError.
     """
     d = _field((*us, *ds))
     au, bu, m = _scaled(us[:count])
@@ -530,8 +532,8 @@ def _exact_quotient(us, ds, count: int) -> list[QuadRational]:
     pad = [0] * (count - len(au))
     au += pad
     bu += pad
-    ya: list[int] = []
-    yb: list[int] = []
+    ya: deque[int] = deque(maxlen=len(taps))
+    yb: deque[int] = deque(maxlen=len(taps))
     out = []
     lpow = 1  # L^j
     for j in range(count):
@@ -542,8 +544,9 @@ def _exact_quotient(us, ds, count: int) -> list[QuadRational]:
             b -= ta * pb + tb * pa
         ya.append(a)
         yb.append(b)
-        den = m * lpow
-        out.append(QuadRational(Fraction(a, den), Fraction(b, den), d or 5))
+        if j >= start:
+            den = m * lpow
+            out.append(QuadRational(Fraction(a, den), Fraction(b, den) if b else 0, d or 5))
         lpow *= lden
     return out
 

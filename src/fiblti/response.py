@@ -6,7 +6,8 @@ difference-equation simulator runs the recursion once in big integers
 output reduced once), `convolve` multiplies two windows as polynomials by
 Kronecker substitution (one big-int product per component), and the closed
 forms are `inverse_z` pole sums in Q(sqrt(5)) over the expansions of their
-systems.  A float window enters both kernels as the exact binary values of
+systems, passed without the system so they stay independent of that
+recursion.  A float window enters both kernels as the exact binary values of
 its floats, and each output is rounded to a float once, so the result is
 inexact but correctly rounded.  The frequency side is a formal evaluation
 of the coefficient polynomials on the unit circle, computed in floats on a
@@ -19,7 +20,7 @@ the time-domain paths run without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -122,10 +123,12 @@ def convolve(x: SequenceWindow, h: SequenceWindow) -> SequenceWindow:
 
 
 def _causal_impulse_response(sys: RationalSystem, n1: int) -> SequenceWindow:
+    """The causal pole sum: the expansion drops its system, so `inverse_z`
+    sums pole powers instead of running the recursion `simulate` runs."""
     if n1 < 0:
         raise ValueError(f"n1 must be >= 0, got {n1}")
     causal = enumerate_rocs(sys.poles())[-1]
-    return inverse_z(partial_fractions(sys), causal, 0, n1)
+    return inverse_z(replace(partial_fractions(sys), system=None), causal, 0, n1)
 
 
 def step_response_closed_form(n1: int) -> SequenceWindow:

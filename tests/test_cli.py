@@ -3,10 +3,13 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from fiblti.cli import main
+from fiblti.lti import RationalSystem
+from fiblti.response import make_impulse, simulate_difference_equation
 
 
 def run_cli(capsys, *argv):
@@ -166,20 +169,45 @@ def test_impz_json_window(capsys):
 
 
 def test_impz_inexact_window_is_marked(capsys):
+    # Poles 1/4, 1/3 and 1/2, found numerically.  A one-sided window comes
+    # from the recursion and is exact; a two-sided one stays a float pole sum.
     code, out, _ = run_cli(
         capsys, "impz", "--den", "1,-13/12,3/8,-1/24", "--from", "0", "--to", "3"
     )
     assert code == 0
+    assert out == "0,1\n1,13/12\n2,115/144\n3,865/1728\n"
+    code, out, _ = run_cli(
+        capsys, "impz", "--den", "1,-13/12,3/8,-1/24", "--roc", "1", "--from", "0", "--to", "3"
+    )
+    assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("# inexact")
-    assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
+    # In 1/4 < |z| < 1/3 only the pole 1/4 reaches n = 0, with residue
+    # 1/((1 - 4/3)(1 - 2)) = 3.
+    assert float(lines[1].split(",")[1]) == pytest.approx(3.0, abs=1e-9)
     code, out, _ = run_cli(
-        capsys, "impz", "--den", "1,-13/12,3/8,-1/24", "--from", "0", "--to", "3",
+        capsys, "impz", "--den", "1,-13/12,3/8,-1/24", "--roc", "1", "--from", "0", "--to", "3",
         "--format", "json",
     )
     payload = json.loads(out)
     assert payload["exact"] is False
     assert isinstance(payload["values"][0], float)
+
+
+def test_impz_agrees_with_respond_on_a_triple_pole(capsys, tmp_path):
+    # 1/(1 - z^-1/2)^3: numeric poles, and h(n) = C(n+2, 2)/2^n exactly.
+    code, impz, _ = run_cli(
+        capsys, "impz", "--den", "1,-3/2,3/4,-1/8", "--from", "0", "--to", "4"
+    )
+    assert code == 0
+    assert impz == "0,1\n1,3/2\n2,3/2\n3,5/4\n4,15/16\n"
+    signal = tmp_path / "impulse.csv"
+    signal.write_text("0,1\n")
+    code, respond, _ = run_cli(
+        capsys, "respond", "--den", "1,-3/2,3/4,-1/8", "--input", str(signal), "--to", "4"
+    )
+    assert code == 0
+    assert respond == impz
 
 
 def test_impz_rejects_bad_roc_selector(capsys):
@@ -199,10 +227,12 @@ def test_impz_rejects_reversed_window(capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
-    # The complex pole pair of modulus about 2.06 passes 1e308 near n = 1000.
-    ["--den", "1,-3/2,9/2,-2", "--from", "1020", "--to", "1030"],
-    # pole**n stays finite; the numerator's factor 1000 takes the sum past it.
-    ["--num", "1000", "--den", "1,-1,-1,-1", "--from", "1160", "--to", "1164"],
+    # Poles 1/2, a complex pair of modulus 2 and 3; in 2 < |z| < 3 the pair is
+    # right-sided, and pole**n itself passes 1e308 near n = 1024.
+    ["--den", "1,-9/2,9,-31/2,6", "--roc", "2", "--from", "1030", "--to", "1040"],
+    # Tribonacci times (1 - 2z^-1): in its region 1.839 < |z| < 2, pole**n
+    # stays finite and the numerator's factor 1000 takes the sum past it.
+    ["--num", "1000", "--den", "1,-3,1,1,2", "--roc", "2", "--from", "1160", "--to", "1164"],
 ])
 def test_impz_numeric_window_out_of_float_range_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, "impz", *argv)
@@ -210,6 +240,18 @@ def test_impz_numeric_window_out_of_float_range_exits_one(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "inf" not in err and "nan" not in err
     assert f"numeric window [{argv[-3]}, {argv[-1]}] leaves float range" in err
+    # The causal window of the same system comes from the exact recursion.
+    causal = [a for a in argv if a not in ("--roc", "2")]
+    code, out, _ = run_cli(capsys, "impz", *causal)
+    assert code == 0
+    args = dict(zip(causal[::2], causal[1::2]))
+    system = RationalSystem(
+        [Fraction(c) for c in args.get("--num", "1").split(",")],
+        [Fraction(c) for c in args["--den"].split(",")],
+    )
+    n0, n1 = int(args["--from"]), int(args["--to"])
+    want = simulate_difference_equation(system, make_impulse(), n1)
+    assert out == "".join(f"{n},{want.value_at(n)}\n" for n in range(n0, n1 + 1))
 
 
 # ---------------------------------------------------------

@@ -1,0 +1,115 @@
+# tests/test_inverse_paths.py
+"""One question, one answer: every path to an impulse-response window agrees.
+
+`inverse_z` answers from the system's recursion when the expansion records
+its system, and sums pole powers when it does not.  Over random exact
+systems (rational or in one field Q(sqrt(d)), poles of multiplicity 1-3,
+some cancelled by a numerator zero) both paths, and the recursion of the
+recombined expansion, must give the same exact window in every region; the
+causal one must also equal the simulated difference equation.  Rational
+denominators of degree 3-5 handed over raw have numeric poles, yet their
+one-sided windows must still equal the simulation exactly.
+"""
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fiblti.lti import (
+    Pole,
+    Polynomial,
+    RationalSystem,
+    SequenceWindow,
+    enumerate_rocs,
+    inverse_z,
+    partial_fractions,
+    poly_mul,
+)
+from fiblti.qfield import FieldMismatchError, QuadRational
+from fiblti.response import make_impulse, simulate_difference_equation
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+HALF = st.fractions(min_value=-1, max_value=1, max_denominator=2)
+# Windows straddling 0, wholly negative past every left-sided start, and
+# wholly positive.
+WINDOWS = ((-7, 7), (-12, -4), (3, 9))
+
+
+@st.composite
+def factored_systems(draw):
+    d = draw(st.sampled_from((0, 2, 3, 5)))
+    value = st.builds(lambda a, b: QuadRational(a, b if d else 0, d or 5), SMALL, HALF)
+    values = draw(st.lists(value.filter(bool), min_size=1, max_size=3, unique=True))
+    poles = [Pole(v, draw(st.integers(1, 3))) for v in values]
+    den = Polynomial([1])
+    for p in poles:
+        for _ in range(p.multiplicity):
+            den = poly_mul(den, [1, -p.value])
+    num = Polynomial(draw(st.lists(value, min_size=1, max_size=4).filter(any)))
+    if draw(st.booleans()):
+        # A numerator zero on a pole lowers that pole's order in the response.
+        num = poly_mul(num, [1, -draw(st.sampled_from(values))])
+    return RationalSystem(num, den, poles)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(factored_systems())
+def test_recursion_pole_sum_and_recombination_agree_in_every_region(system):
+    expansion = partial_fractions(system)
+    assert expansion.system is system
+    pole_sum = replace(expansion, system=None)
+    recombined = partial_fractions(expansion.reconstruct())
+    for roc in enumerate_rocs(system.poles()):
+        for n0, n1 in WINDOWS:
+            got = inverse_z(expansion, roc, n0, n1)
+            assert got.exact
+            assert got == inverse_z(pole_sum, roc, n0, n1)
+            assert got == inverse_z(recombined, roc, n0, n1)
+    causal = enumerate_rocs(system.poles())[-1]
+    assert inverse_z(expansion, causal, 0, 15) == simulate_difference_equation(
+        system, make_impulse(), 15
+    )
+
+
+@st.composite
+def raw_rational_systems(draw):
+    degree = draw(st.integers(3, 5))
+    den = [1, *draw(st.lists(SMALL, min_size=degree, max_size=degree))]
+    if not den[-1]:
+        den[-1] = Fraction(1, 2)
+    num = draw(st.lists(SMALL, min_size=1, max_size=degree + 2).filter(any))
+    return RationalSystem(num, den)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(raw_rational_systems())
+def test_one_sided_windows_of_numeric_poles_equal_the_simulation(system):
+    rocs = enumerate_rocs(system.poles())
+    expansion = partial_fractions(system)
+    assert not expansion.exact
+    # Causal: the simulated impulse response, zero before n = 0.
+    sim = simulate_difference_equation(system, make_impulse(), 40)
+    assert inverse_z(expansion, rocs[-1], -5, 40) == SequenceWindow(-5, [0] * 5 + list(sim))
+    # Innermost disc: h(M - K - j) is the simulated response of rev(N)/rev(D).
+    num, den = system.numerator.coeffs, system.denominator.coeffs
+    top = system.numerator.degree - system.denominator.degree
+    rev = simulate_difference_equation(RationalSystem(num[::-1], den[::-1]), make_impulse(), 40)
+    got = inverse_z(expansion, rocs[0], top - 40, top + 3)
+    assert list(got.values) == list(rev.values)[::-1] + [0, 0, 0]
+
+
+def test_cross_field_system_falls_back_to_the_pole_sum():
+    # sqrt(2)/(1 + sqrt(5) z^-1): numerator and denominator in two fields.
+    system = RationalSystem([QuadRational(0, 1, 2)], [1, QuadRational(0, 1, 5)])
+    expansion = partial_fractions(system)
+    anticausal, causal = enumerate_rocs(system.poles())
+    sqrt2 = QuadRational(0, 1, 2)
+    assert list(inverse_z(expansion, causal, 0, 0).values) == [sqrt2]
+    assert list(inverse_z(expansion, causal, -3, 0).values) == [0, 0, 0, sqrt2]
+    # h(1) = -sqrt(10) lies in neither field, so later samples cannot be held.
+    with pytest.raises(FieldMismatchError):
+        inverse_z(expansion, causal, 0, 1)
+    with pytest.raises(FieldMismatchError):
+        inverse_z(expansion, anticausal, -3, 0)
