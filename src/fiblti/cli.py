@@ -241,7 +241,10 @@ def _cmd_impz(args, parser) -> str:
 
 
 def _cmd_freqz(args, parser) -> str:
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ImportError("freqz needs numpy (pip install 'fiblti[freqz]')") from None
 
     sys_ = _system(args)
     grid = freq_response(sys_, args.points)
@@ -449,6 +452,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact values print in full, however many digits they have: the limit on
+    # int-to-str conversion (0 is none) is lifted here and put back on the
+    # way out, for in-process callers.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # Usage errors found after parsing go to the subcommand's own parser.
@@ -456,7 +473,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except (ValueError, ZeroDivisionError, ArithmeticError, OverflowError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is None:

@@ -1,13 +1,14 @@
 """Rational discrete-time systems in z^-1 with exact pole analysis.
 
 Transfer functions are ratios of polynomials in z^-1 with exact coefficients
-(see `qfield`, whose Kronecker-substitution product multiplies them).
-Denominators of degree <= 2 factor exactly, either over the
-rationals or over a real quadratic field; higher degrees keep exactness only
-when a factored pole multiset is carried along (as `cascade` does) and
-otherwise fall back to a numeric root finder in plain Python (Aberth–Ehrlich,
-then one Newton step in integer arithmetic for rational coefficients, so a
-simple pole is the correctly rounded root).  Regions of
+(see `qfield`, whose Kronecker-substitution product multiplies them).  A
+denominator splits exactly into square-free parts (Yun's algorithm), so
+every pole multiplicity is exact; parts of degree <= 2 factor over the
+rationals or a real quadratic field.  Otherwise, unless a factored pole
+multiset is carried along (as `cascade` does), the poles are numeric, found
+in plain Python (Aberth–Ehrlich, then one Newton step in integer arithmetic
+on a rational polynomial where the root is simple, so each is the correctly
+rounded root).  Regions of
 convergence are open annuli between pole moduli.  Partial-fraction residues
 come from the cover-up rule, each pole's from its own cofactor.  The inverse
 transform runs the system's recursion wherever one exists, so its samples
@@ -68,8 +69,6 @@ Coefficient = Union[int, Fraction, QuadRational]
 
 #: Relative residual accepted by the numeric pole fallback.
 _NUMERIC_RESIDUAL_TOL = 1e-10
-#: Relative distance under which numeric roots merge into one multiple pole.
-_NUMERIC_CLUSTER_TOL = 1e-6
 #: Sweeps after which the Aberth–Ehrlich root finder stops, converged or not.
 _ABERTH_MAX_SWEEPS = 100
 #: Relative distance under which two pole moduli count as one circle.
@@ -450,7 +449,7 @@ class RationalSystem:
     int/Fraction pole values are lifted to field elements, equal values merge
     into one pole whose multiplicities add, and its expansion is verified
     against the denominator at construction.  Poles are found once per system:
-    at construction up to degree 2, else numerically on first use.
+    at construction up to degree 2, else on first use.
     """
 
     __slots__ = ("_num", "_den", "_poles")
@@ -534,34 +533,38 @@ def _expand_factors(poles: Iterable[Pole]) -> Polynomial:
 
 
 def find_poles(den) -> list[Pole]:
-    """Poles (z-plane roots of the denominator) with multiplicities.
+    """Poles (z-plane roots of the denominator) with exact multiplicities.
 
-    Degree 1 factors exactly over the rationals; degree 2 factors exactly
-    over the rationals or a real quadratic field when the discriminant allows
-    it; everything else (including complex pairs) uses the numeric fallback
-    (`_numeric_poles`: Aberth–Ehrlich in floats, then one exact Newton step)
-    and is flagged inexact.  Numeric non-real poles come in exact conjugate
-    pairs.  Poles are sorted by modulus.
+    A denominator of degree >= 3 first splits into square-free parts by
+    Yun's algorithm (`_square_free_parts`), so no float decides a
+    multiplicity.  Parts of degree <= 2 factor exactly where they can
+    (`_exact_poles`).  If any part does not (degree >= 3, a complex pair, or
+    roots from two fields), every pole is reported numerically with its
+    part's multiplicity and flagged inexact: an exact root as the complex of
+    its value, the others correctly rounded by `_numeric_poles`.  Poles are
+    sorted by modulus.
     """
     den = _as_poly(den)
     if den.is_zero:
         raise MalformedSystemError("denominator is the zero polynomial")
-    deg = den.degree
-    if deg < 1:
+    if den.degree < 1:
         return []
-    c = den.coeffs
-    if deg == 1:
+    poles: list[Pole] = []
+    for part, m in _square_free_parts(den) if den.degree >= 3 else [(den, 1)]:
+        found = _exact_poles(part.coeffs) or [Pole(z) for z in _numeric_poles(part)]
+        poles += [Pole(p.value, p.multiplicity * m) for p in found]
+    if not all(p.exact for p in poles) or len({p.value.d for p in poles if p.value.b}) > 1:
+        poles = [Pole(complex(p.value), p.multiplicity) for p in poles]
+    return sorted(poles, key=_pole_sort_key)
+
+
+def _exact_poles(c) -> "list[Pole] | None":
+    """Exact roots of c0 z^n + ... + cn (the denominator read in powers of z), n <= 2, or None."""
+    if len(c) == 2:
         # c0 + c1 w = 0 at w = 1/z, so z = -c1/c0.
         return [Pole(-(c[1] / c[0]))]
-    if deg == 2:
-        poles = _quadratic_poles(c)
-        if poles is not None:
-            return poles
-    return _numeric_poles(den)
-
-
-def _quadratic_poles(c) -> "list[Pole] | None":
-    # Roots of c0 z^2 + c1 z + c2 (the denominator read in powers of z).
+    if len(c) != 3:
+        return None
     c0, c1, c2 = c
     disc = c1 * c1 - 4 * c0 * c2
     if not disc:
@@ -570,59 +573,107 @@ def _quadratic_poles(c) -> "list[Pole] | None":
     if root is None:
         return None
     try:
-        p_plus = (-c1 + root) / (2 * c0)
-        p_minus = (-c1 - root) / (2 * c0)
+        return [Pole((-c1 + sign * root) / (2 * c0)) for sign in (1, -1)]
     except FieldMismatchError:
         # Discriminant root lives in a different field than the coefficients.
         return None
-    return sorted([Pole(p_plus), Pole(p_minus)], key=_pole_sort_key)
 
 
-def _numeric_poles(den: Polynomial) -> list[Pole]:
-    """Numeric poles: float roots, clustered and checked, then one exact Newton step.
+def _square_free_parts(den: Polynomial) -> list[tuple[Polynomial, int]]:
+    """The pairs (a_i, i), deg a_i >= 1, of den = c * a_1 * a_2^2 * a_3^3 ...
 
-    Roots come from `_aberth_roots`, each polished by float Newton steps and
-    made closed under conjugation (`_conjugate_pairs`).  Roots within a
-    relative `_NUMERIC_CLUSTER_TOL` of one another merge into one pole of
-    that multiplicity m at their mean, which must pass the residual check.
-    A denominator with rational coefficients then refines each mean on the
-    (m-1)-th derivative, where an m-fold root is simple: float Newton steps
-    for m > 1, then one `_exact_newton` step, so a simple pole is the
-    correctly rounded root.
+    The a_i are square-free and pairwise coprime: Yun's algorithm (Yun 1976,
+    "On square-free decomposition algorithms") on Euclid's gcd and exact
+    division.  A square-free den, with gcd(den, den') = 1, is its own part.
     """
-    coeffs = den.float_coeffs()  # z-polynomial, highest power of z first
-    roots = _conjugate_pairs([_polish_root(coeffs, z) for z in _aberth_roots(coeffs)])
-    ints, irrational, _ = _scaled(den.coeffs)
-    clusters: list[list[complex]] = []
-    for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
-        for cluster in clusters:
-            ref = cluster[0]
-            if abs(z - ref) <= _NUMERIC_CLUSTER_TOL * abs(ref):
-                cluster.append(z)
-                break
-        else:
-            clusters.append([z])
-    scale = max(abs(cf) for cf in coeffs)
-    poles = []
-    for cluster in clusters:
-        z = sum(cluster) / len(cluster)
-        if abs(z.imag) <= 1e-12 * abs(z.real):
-            z = complex(z.real, 0.0)
-        residual = abs(_horner(coeffs, z)) / (scale * max(1.0, abs(z)) ** den.degree)
-        if residual > _NUMERIC_RESIDUAL_TOL:
-            raise ArithmeticError(
-                f"numeric root finder residual {residual:.3e} exceeds tolerance"
-            )
-        if not any(irrational):
-            m = len(cluster)
-            if m > 1:
-                z = _polish_root(_derivative(coeffs, m - 1), z)
-            z = _exact_newton(_derivative(ints, m - 1), z)
-        if abs(z.real) <= 1e-12 * abs(z.imag):
-            # On the imaginary axis, where Newton's step leaves a residue.
-            z = complex(0.0, z.imag)
-        poles.append(Pole(z, len(cluster)))
-    return sorted(poles, key=_pole_sort_key)
+    deriv = _derivative(den)
+    common = _gcd(den, deriv)
+    if not common.degree:
+        return [(den, 1)]
+    parts, i = [], 1
+    b, c = divmod(den, common)[0], divmod(deriv, common)[0]
+    while b.degree > 0:
+        d = c - _derivative(b)
+        a = _gcd(b, d)
+        if a.degree:
+            parts.append((a, i))
+        b, c, i = divmod(b, a)[0], divmod(d, a)[0], i + 1
+    return parts
+
+
+def _derivative(p: Polynomial) -> Polynomial:
+    """The derivative in w = z^-1."""
+    return Polynomial([QuadRational(k * c.a, k * c.b, c.d) for k, c in enumerate(p.coeffs)][1:])
+
+
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd(a, b) by Euclid's algorithm in integers, scaled to constant term 1.
+
+    The operands become integer pairs A + B sqrt(d) (`_scaled`).  A step
+    replaces u by lc(v) u - lc(u) w^k v until deg u < deg v, and each
+    remainder is divided by the gcd of its integers, so no Fraction is built
+    until the end.  Every gcd taken here divides a denominator, whose
+    constant term is not 0.
+    """
+    d = _field((*a.coeffs, *b.coeffs))
+    u, v = (list(zip(*_scaled(p.coeffs)[:2])) for p in (a, b))
+    while v:
+        while len(u) >= len(v):
+            (p, q), (h, k) = v[-1], u[-1]
+            shifted = [(0, 0)] * (len(u) - len(v)) + v[:-1]
+            u = [
+                (p * x + d * q * y - h * s - d * k * t, p * y + q * x - h * t - k * s)
+                for (x, y), (s, t) in zip(u[:-1], shifted)
+            ]
+            while u and u[-1] == (0, 0):
+                u.pop()
+        content = math.gcd(*(x for pair in u for x in pair)) or 1
+        u, v = v, [(x // content, y // content) for x, y in u]
+    g = Polynomial([QuadRational(x, y, d or 5) for x, y in u])
+    return g / g.coeffs[0]
+
+
+def _numeric_poles(part: Polynomial) -> list[complex]:
+    """The correctly rounded roots of a square-free part.
+
+    Each root from `_aberth_roots` goes onto an axis it lies on to rounding
+    (`_on_axis`), must pass the residual check, takes one `_exact_newton`
+    step on a rational polynomial in which it is simple, and goes onto an
+    axis again.  That polynomial is the part when it is rational.  An
+    irrational part P splits off the rational R = gcd(P, conj P): roots of R
+    step on R, those of S = P/R on S conj(S) = P conj(P)/R^2, which is
+    rational and square-free.  A root found twice raises ArithmeticError.
+    """
+    pieces = [(part, part)]
+    if any(c.b for c in part.coeffs):
+        conj = Polynomial([c.conj() for c in part.coeffs])
+        common = _gcd(part, conj)
+        rest = divmod(part, common)[0]
+        pieces = [(common, common), (rest, divmod(part * conj, common * common)[0])]
+    roots: list[complex] = []
+    for piece, rational in pieces:
+        if piece.degree < 1:
+            continue
+        coeffs = piece.float_coeffs()  # z-polynomial, highest power of z first
+        ints = _scaled(rational.coeffs)[0]
+        scale = max(abs(cf) for cf in coeffs)
+        for z in map(_on_axis, _aberth_roots(coeffs)):
+            residual = abs(_horner(coeffs, z)) / (scale * max(1.0, abs(z)) ** piece.degree)
+            if residual > _NUMERIC_RESIDUAL_TOL:
+                raise ArithmeticError(
+                    f"numeric root finder residual {residual:.3e} exceeds tolerance"
+                )
+            roots.append(_on_axis(_exact_newton(ints, z)))
+    if len(set(roots)) < len(roots):
+        raise ArithmeticError("numeric root finder found one root twice")
+    return roots
+
+
+def _on_axis(z: complex) -> complex:
+    """z on the real or imaginary axis when its other part is rounding-sized."""
+    if abs(z.imag) <= 1e-12 * abs(z.real):
+        return complex(z.real, 0.0)
+    return complex(0.0, z.imag) if abs(z.real) <= 1e-12 * abs(z.imag) else z
 
 
 def _aberth_roots(coeffs: list[float]) -> list[complex]:
@@ -663,36 +714,6 @@ def _aberth_roots(coeffs: list[float]) -> list[complex]:
     return zs
 
 
-def _conjugate_pairs(roots: list[complex]) -> list[complex]:
-    """Float roots of a real polynomial, made closed under conjugation.
-
-    A root within a relative 1e-12 of the real axis becomes real.  Each root
-    above the axis takes the root below it nearest its conjugate as its exact
-    conjugate; a root left without a partner becomes real.
-    """
-    out: list[complex] = []
-    upper: list[complex] = []
-    lower: list[complex] = []
-    for z in roots:
-        if abs(z.imag) <= 1e-12 * abs(z.real):
-            out.append(complex(z.real, 0.0))
-        else:
-            (upper if z.imag > 0 else lower).append(z)
-    for z in upper:
-        if lower:
-            lower.remove(min(lower, key=lambda y: abs(y - z.conjugate())))
-            out += [z, z.conjugate()]
-        else:
-            out.append(complex(z.real, 0.0))
-    return out + [complex(z.real, 0.0) for z in lower]
-
-
-def _derivative(coeffs: list, order: int) -> list:
-    """Coefficients, highest power first, of the order-th derivative of a polynomial."""
-    n = len(coeffs) - 1
-    return [c * math.perm(n - k, order) for k, c in enumerate(coeffs[: n - order + 1])]
-
-
 def _exact_newton(ints: list[int], z: complex) -> complex:
     """One Newton step from z on an integer polynomial, rounded once.
 
@@ -723,22 +744,6 @@ def _horner(coeffs, z: complex) -> complex:
     for cf in coeffs:
         acc = acc * z + cf
     return acc
-
-
-def _polish_root(coeffs, z: complex) -> complex:
-    for _ in range(30):
-        p = 0j
-        dp = 0j
-        for cf in coeffs:
-            dp = dp * z + p
-            p = p * z + cf
-        if abs(dp) == 0.0:
-            break
-        step = p / dp
-        z = z - step
-        if abs(step) <= 1e-15 * max(1.0, abs(z)):
-            break
-    return z
 
 
 def enumerate_rocs(poles: Iterable[Pole]) -> list[Roc]:

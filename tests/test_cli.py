@@ -64,6 +64,30 @@ def test_gen_negative_start_needs_the_closed_form_engine(capsys):
     assert capsys.readouterr().err.startswith("usage: fiblti gen ")
 
 
+def test_gen_prints_values_past_the_int_to_str_digit_limit(capsys):
+    # F(30000) has 6270 digits, past CPython's default limit of 4300 on
+    # int-to-str conversion; main lifts it while it runs and puts it back.
+    a, b = 0, 1
+    for _ in range(30000):
+        a, b = b, a + b
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    text = run_cli(capsys, "gen", "--start", "30000", "--count", "1")
+    raw = run_cli(capsys, "gen", "--start", "30000", "--count", "1", "--format", "json")
+    assert text[0] == raw[0] == 0 and text[2] == raw[2] == ""
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        digits = str(a)
+        payload = json.loads(raw[1])
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert len(digits) == 6270
+    assert text[1] == digits + "\n"
+    assert payload == {"start": 30000, "values": [a]}
+
+
 def test_gen_rejects_empty_count(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--count", "0"])
@@ -104,6 +128,33 @@ def test_analyze_numeric_fallback_marks_inexact(capsys):
     assert all(p["value"] is None for p in payload["poles"])
     mods = sorted(abs(complex(p["re"], p["im"])) for p in payload["poles"])
     assert mods == pytest.approx([0.25, 1 / 3, 0.5], abs=1e-9)
+
+
+def test_analyze_self_cascade_written_out_has_exact_double_poles(capsys):
+    # (1 - z^-1 - z^-2)^2 multiplied out: the square-free split finds the
+    # double poles phi and its conjugate before any float runs.
+    code, out, _ = run_cli(capsys, "analyze", "--den", "1,-2,-1,2,1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is True
+    assert [(p["value"], p["multiplicity"], p["exact"]) for p in payload["poles"]] == [
+        ("1/2-1/2*sqrt(5)", 2, True),
+        ("1/2+1/2*sqrt(5)", 2, True),
+    ]
+    assert [(r["causal"], r["stable"]) for r in payload["rocs"]] == [
+        (False, False),
+        (False, True),
+        (True, False),
+    ]
+
+
+def test_analyze_triple_pole_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--den", "1,-3/2,3/4,-1/8")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] is True
+    assert [(p["value"], p["multiplicity"]) for p in payload["poles"]] == [("1/2", 3)]
+    assert [r["r_in"] for r in payload["rocs"]] == ["0", "1/2"]
 
 
 def test_analyze_finishes_when_the_square_free_part_is_out_of_reach():
@@ -280,6 +331,13 @@ def test_freqz_features(capsys):
     assert payload["grid_min_magnitude"] == pytest.approx(1 / math.sqrt(5), abs=1e-12)
     assert payload["law_half_power_omegas"] == pytest.approx([math.pi / 6, 5 * math.pi / 6])
     assert payload["max_abs_error_vs_law"] <= 1e-12
+
+
+def test_freqz_without_numpy_exits_one_with_a_hint(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now raises ImportError
+    code, out, err = run_cli(capsys, "freqz", "--den", "1,-1,-1", "--points", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: freqz needs numpy (pip install 'fiblti[freqz]')\n"
 
 
 def test_freqz_singular_point_in_json_is_null(capsys):

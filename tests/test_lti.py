@@ -1,10 +1,11 @@
 # tests/test_lti.py
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fiblti.lti import (
@@ -307,16 +308,18 @@ def _den_from_text(text: str) -> Polynomial:
 
 
 def test_numeric_double_pole_is_exact():
-    # (1 - 2z^-1)^2 (1 + z^-1/9)(1 - z^-1/100000).  At a double pole Newton's
-    # step on the denominator itself leaves the pole off the axis; the step
-    # runs on the derivative, where the pole is simple.
+    # (1 - 2z^-1)^2 (1 + z^-1/9)(1 - z^-1/100000).  The square-free split
+    # leaves the double factor and a quadratic with rational roots, so every
+    # pole is exact.
     poles = find_poles(_den_from_text("1,-3500009/900000,640007/180000,12499/28125,-1/225000"))
-    assert Pole(2 + 0j, 2) in poles
+    assert Pole(QuadRational(2), 2) in poles
+    assert all(p.exact for p in poles)
     assert sorted(p.multiplicity for p in poles) == [1, 1, 2]
 
 
 def test_numeric_poles_are_closed_under_conjugation():
-    # The triple pole 1/2 still splits, but never into an unpaired non-real pole.
+    # The triple pole 1/2 is exact now; a numeric pole set is never left with
+    # an unpaired non-real pole either.
     def key(z):
         return (z.real, z.imag)
 
@@ -363,6 +366,145 @@ def test_numeric_poles_are_correctly_rounded_roots(roots):
     got = sorted((p.as_complex() for p in poles), key=lambda z: (z.real, z.imag))
     want = sorted((complex(float(a), float(b)) for a, b in roots), key=lambda z: (z.real, z.imag))
     assert got == want
+
+
+_PART = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _known_factors(draw):
+    """Coprime factors with known roots over Q(sqrt(d)), each with a multiplicity 1-3.
+
+    A factor is (coefficients in z^-1, roots, multiplicity): a linear factor
+    with a root a + b sqrt(d), a rational quadratic with the roots
+    a +- b sqrt(d), or a quadratic with the complex roots a +- ci, where a is
+    in Q(sqrt(d)) and c is rational.  Real roots are field elements, complex
+    ones Python complex values.
+    """
+    d = draw(st.sampled_from((2, 3, 5)))
+    factors: list = []
+    seen: set = set()
+    for _ in range(draw(st.integers(1, 3))):
+        a = QuadRational(draw(_PART), draw(_PART), d)
+        c = draw(_PART.filter(bool))
+        kind = draw(st.sampled_from(("linear", "real pair", "complex pair")))
+        if kind == "linear":
+            roots = [a]
+        elif kind == "real pair":
+            roots = [QuadRational(a.a, c, d), QuadRational(a.a, -c, d)]
+        else:
+            roots = [complex(float(a), float(c)), complex(float(a), -float(c))]
+        if not all(roots) or seen & {complex(r) for r in roots}:
+            continue
+        seen |= {complex(r) for r in roots}
+        if kind == "linear":
+            coeffs = [1, -a]
+        elif kind == "real pair":
+            coeffs = [1, -2 * a.a, roots[0] * roots[1]]
+        else:
+            coeffs = [1, -2 * a, a * a + c * c]
+        factors.append((coeffs, roots, draw(st.integers(1, 3))))
+    assume(factors)
+    return factors
+
+
+def _expand(factors) -> Polynomial:
+    den = Polynomial([1])
+    for coeffs, _, m in factors:
+        for _ in range(m):
+            den = poly_mul(den, coeffs)
+    return den
+
+
+@settings(derandomize=True, deadline=None)
+@given(_known_factors())
+# (1 - z^-1 - z^-2)^2 with (1 - 2 z^-1)^3: both parts factor exactly.
+@example([([1, -1, -1], [PHI, PSI], 2), ([1, -2], [QuadRational(2)], 3)])
+# A part with a rational root and an irrational one, beside a double complex pair.
+@example([
+    ([1, -Fraction(1, 3)], [QuadRational(Fraction(1, 3))], 1),
+    ([1, -SQRT5], [SQRT5], 1),
+    ([1, 0, 1], [1j, -1j], 2),
+])
+def test_poles_of_known_factors_have_exact_multiplicities(factors):
+    poles = find_poles(_expand(factors))
+    # The square-free part of multiplicity m is the product of the factors of
+    # multiplicity m; poles are exact when every such part factors exactly.
+    parts: dict = {}
+    for _, roots, m in factors:
+        parts.setdefault(m, []).extend(roots)
+    if all(len(roots) <= 2 and all(isinstance(r, QuadRational) for r in roots)
+           for roots in parts.values()):
+        want = Counter((r, m) for _, roots, m in factors for r in roots)
+        assert Counter((p.value, p.multiplicity) for p in poles) == want
+        return
+    assert not any(p.exact for p in poles)
+    assert len(poles) == sum(len(roots) for roots in parts.values())
+    for _, roots, m in factors:
+        for r in roots:
+            z = complex(r)
+            nearest = min(poles, key=lambda p: abs(p.value - z))
+            assert abs(nearest.value - z) <= 1e-9 * max(1.0, abs(z))
+            assert nearest.multiplicity == m
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_known_factors())
+def test_pole_multiplicities_agree_with_sympy_sqf_list(factors):
+    sympy = pytest.importorskip("sympy")
+    den = _expand(factors)
+    d = next((c.d for c in den.coeffs if c.b), 5)
+    w = sympy.Symbol("w")
+    root_d = sympy.sqrt(d)
+
+    def coefficient(q):
+        return sympy.Rational(q.a.numerator, q.a.denominator) + sympy.Rational(
+            q.b.numerator, q.b.denominator
+        ) * root_d
+
+    expr = sum(coefficient(c) * w**k for k, c in enumerate(den.coeffs))
+    _, sqf = sympy.sqf_list(expr, w, extension=root_d)
+    want = Counter()
+    for factor, m in sqf:
+        want[m] += sympy.degree(factor, w)
+    got = Counter(p.multiplicity for p in find_poles(den))
+    assert got == want
+
+
+_IRRATIONAL_DENOMINATORS = st.integers(3, 5).flatmap(
+    lambda degree: st.tuples(
+        st.sampled_from((2, 3, 5)),
+        st.lists(st.tuples(_PART, _PART), min_size=degree, max_size=degree),
+    )
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_IRRATIONAL_DENOMINATORS)
+# 1 + sqrt(2) z^-1 + z^-2 + (-1/2 + sqrt(2)/3) z^-3
+@example((2, [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
+              (Fraction(-1, 2), Fraction(1, 3))]))
+def test_numeric_poles_of_irrational_coefficients_are_correctly_rounded(drawn):
+    mpmath = pytest.importorskip("mpmath")
+    d, pairs = drawn
+    coeffs = [QuadRational(1)] + [QuadRational(a, b, d) for a, b in pairs]
+    assume(coeffs[-1] and any(c.b for c in coeffs))
+    poles = [p for p in find_poles(Polynomial(coeffs)) if not p.exact]
+    assume(poles and all(p.multiplicity == 1 for p in poles))
+    with mpmath.workprec(300):
+        roots = mpmath.polyroots(
+            [mpmath.mpf(c.a.numerator) / c.a.denominator
+             + mpmath.mpf(c.b.numerator) / c.b.denominator * mpmath.sqrt(d) for c in coeffs],
+            maxsteps=200, extraprec=300,
+        )
+        tiny = mpmath.mpf(2) ** -200
+        for p in poles:
+            root = min(roots, key=lambda r: abs(complex(r) - p.value))
+            # A real root (or one on the imaginary axis) keeps a residue of
+            # the working precision in its other part.
+            re = root.real if abs(root.real) > tiny * abs(root) else 0
+            im = root.imag if abs(root.imag) > tiny * abs(root) else 0
+            assert p.value == complex(float(re), float(im))
 
 
 def test_system_normalizes_the_denominator_constant():
