@@ -59,12 +59,14 @@ def fib_recursive(n: int, count: int) -> list[FibValue]:
 
 
 def fib_binet_exact(n: int) -> int:
-    """f(n) from the closed form (phi^n - (-phi)^-n)/sqrt(5), exactly.
+    """f(n) from the closed form (phi^n - psi^n)/sqrt(5), exactly.
 
     All arithmetic stays in Q(sqrt(5)); any integer n is accepted, so this is
-    also the natural engine for negative indices.
+    also the natural engine for negative indices.  psi^n is the field
+    conjugate of phi^n, so one power serves both.
     """
-    num = GOLDEN_RATIO ** n - (-GOLDEN_RATIO) ** (-n)
+    power = GOLDEN_RATIO ** n
+    num = power - power.conj()
     value = num / SQRT5
     assert num.a == 0 and value.is_integer, "field arithmetic lost exactness"
     return int(value)

@@ -10,7 +10,8 @@ in plain Python (Aberth–Ehrlich, then one Newton step in integer arithmetic
 on a rational polynomial where the root is simple, so each is the correctly
 rounded root).  Regions of
 convergence are open annuli between pole moduli.  Partial-fraction residues
-come from the cover-up rule, each pole's from its own cofactor.  The inverse
+come from the cover-up rule, each pole's from products of pole differences
+and truncated series, with no cofactor expanded.  The inverse
 transform runs the system's recursion wherever one exists, so its samples
 are exact whatever the poles: the causal region reads the series of N/D in
 z^-1 and the innermost disc the series in z (both `qfield._exact_quotient`),
@@ -444,12 +445,12 @@ class RationalSystem:
     """A rational transfer function N(z^-1)/D(z^-1) with exact coefficients.
 
     The denominator is normalized so its constant term is 1.  A factored pole
-    multiset is attached when an exact factorization is known (degree <= 2
-    denominators factor automatically; `cascade` merges factorizations); its
-    int/Fraction pole values are lifted to field elements, equal values merge
-    into one pole whose multiplicities add, and its expansion is verified
-    against the denominator at construction.  Poles are found once per system:
-    at construction up to degree 2, else on first use.
+    multiset may be attached (`cascade` merges its operands' `pole_factors`);
+    its int/Fraction pole values are lifted to field elements, equal values
+    merge into one pole whose multiplicities add, and its expansion is
+    verified against the denominator at construction.  Otherwise the poles
+    are found once, on first use (`poles` or `pole_factors`), whichever of
+    the two is asked first.
     """
 
     __slots__ = ("_num", "_den", "_poles")
@@ -479,8 +480,6 @@ class RationalSystem:
                 raise MalformedSystemError(
                     "factored pole multiset does not expand to the denominator"
                 )
-        elif den.degree <= 2:
-            poles = tuple(find_poles(den))
         self._poles = poles
 
     @property
@@ -493,9 +492,12 @@ class RationalSystem:
 
     @property
     def pole_factors(self) -> "tuple[Pole, ...] | None":
-        """The exact pole multiset, or None if not known."""
-        poles = self._poles
-        return poles if poles is not None and all(p.exact for p in poles) else None
+        """The exact pole multiset, or None if the poles are numeric or cannot be found."""
+        try:
+            poles = self.poles()
+        except ArithmeticError:
+            return None
+        return poles if all(p.exact for p in poles) else None
 
     @property
     def order(self) -> int:
@@ -527,9 +529,17 @@ class RationalSystem:
         return f"RationalSystem(num=[{self._num}], den=[{self._den}])"
 
 
+def _factor_power(value: QuadRational, m: int) -> list[QuadRational]:
+    """Coefficients in z^-1 of (1 - value z^-1)^m, by the binomial theorem."""
+    return [math.comb(m, j) * (-value) ** j for j in range(m + 1)]
+
+
 def _expand_factors(poles: Iterable[Pole]) -> Polynomial:
-    factors = [(p.value, p.multiplicity) for p in poles]
-    return Polynomial(_term_basis(None, 0, factors, _ONE))
+    """The product of (1 - p z^-1)^m over exact poles, by `_exact_product`."""
+    prod = [_ONE]
+    for p in poles:
+        prod = _exact_product(prod, _factor_power(p.value, p.multiplicity))
+    return Polynomial(prod)
 
 
 def find_poles(den) -> list[Pole]:
@@ -805,9 +815,10 @@ def _recombine(terms, poly_part: Polynomial) -> tuple[Polynomial, Polynomial, tu
     poles = _collect_poles(terms)
     den = _expand_factors(poles)
     num = poly_part * den
-    factors = [(p.value, p.multiplicity) for p in poles]
     for t in terms:
-        basis = Polynomial(_term_basis(t.pole.value, t.order, factors, _ONE))
+        # The basis den/(1 - p z^-1)^order is a polynomial: its series, cut at its degree.
+        top = den.degree - t.order + 1
+        basis = Polynomial(_exact_quotient(den.coeffs, _factor_power(t.pole.value, t.order), top))
         num = num + basis * t.coefficient
     return num, den, poles
 
@@ -819,38 +830,6 @@ def _collect_poles(terms: Iterable[PartialFractionTerm]) -> tuple[Pole, ...]:
     return tuple(sorted(seen.values(), key=_pole_sort_key))
 
 
-def _term_basis(value, order: int, factors, one) -> list:
-    """Coefficients in z^-1 of all pole factors except (1 - value z^-1)^order.
-
-    `factors` holds (pole value, multiplicity) pairs and `one` is the unit,
-    both of one scalar kind: exact field elements or complex floats.  With
-    the pole's full multiplicity as `order` this is the pole's cofactor Q in
-    D = (1 - value z^-1)^order * Q.
-    """
-    zero = one - one
-    prod = [one]
-    for q, mult in factors:
-        if q == value:
-            mult -= order
-        for _ in range(mult):
-            prod = [
-                (prod[i] if i < len(prod) else zero) - q * (prod[i - 1] if i else zero)
-                for i in range(len(prod) + 1)
-            ]
-    return prod
-
-
-def _series_at_pole(coeffs, inv, m: int, zero) -> list:
-    """First m Taylor coefficients in u = 1 - p z^-1 of a polynomial in z^-1.
-
-    Horner's scheme at z^-1 = (1 - u) * inv with inv = 1/p, truncated to m terms.
-    """
-    out = [zero] * m
-    for c in reversed(coeffs):
-        out = [out[0] * inv + c] + [(out[i] - out[i - 1]) * inv for i in range(1, m)]
-    return out
-
-
 def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     """Expand N/D into first- and higher-order pole terms plus a finite part.
 
@@ -858,7 +837,11 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     Each pole p of multiplicity m then gets its residues by the cover-up
     rule: with D = (1 - p z^-1)^m * Q, the coefficients of orders m, m-1,
     ..., 1 are the first m Taylor coefficients of R/Q in u = 1 - p z^-1 at
-    u = 0.  Exact and numeric (complex) poles share this one computation.
+    u = 0.  Q is never expanded: at z^-1 = (1 - u)/p each other pole q of
+    multiplicity k contributes p^-k ((p - q) + q u)^k, so Q's series is
+    p^(m - K), K = deg D, times a product of linear factors in u truncated to
+    m terms, whose constant term is a product of pole differences.  Exact and
+    numeric (complex) poles share this one computation.
     """
     poles = sys.poles()
     quot, rem = divmod(sys.numerator, sys.denominator)
@@ -871,16 +854,25 @@ def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
     factors = [(scalar(p.value), p.multiplicity) for p in poles]
     terms = []
     for pole, (p, m) in zip(poles, factors):
-        inv = one / p
-        r = _series_at_pole(num, inv, m, zero)
-        q = _series_at_pole(_term_basis(p, m, factors, one), inv, m, zero)
+        # R's series by Horner's scheme at z^-1 = (1 - u)/p, truncated to m terms.
+        inv, r = one / p, [zero] * m
+        for c in reversed(num):
+            r = [r[0] * inv + c] + [(r[i] - r[i - 1]) * inv for i in range(1, m)]
+        # Q's series times p^(K - m): the other poles' factors (p - q) + q u, multiplied.
+        q = [one] + [zero] * (m - 1)
+        for other, k in factors:
+            if other != p:
+                gap = p - other
+                for _ in range(k):
+                    q = [q[0] * gap] + [q[i] * gap + q[i - 1] * other for i in range(1, m)]
         series = []
         for k in range(m):
             acc = r[k]
             for i in range(1, k + 1):
                 acc = acc - q[i] * series[k - i]
             series.append(acc / q[0])
-        terms += [PartialFractionTerm(pole, j, series[m - j]) for j in range(1, m + 1)]
+        scale = p ** (total - m)
+        terms += [PartialFractionTerm(pole, j, series[m - j] * scale) for j in range(1, m + 1)]
     return PartialFractionExpansion(tuple(terms), quot, sys)
 
 

@@ -699,6 +699,76 @@ def test_numeric_residues_reconstruct_within_tolerance():
         assert t.coefficient == pytest.approx(expected, abs=1e-9)
 
 
+def test_residue_beside_triple_numeric_poles_is_accurate():
+    # Three triple numeric poles and a simple pole at -3/4, two of them
+    # 0.004 apart.  Expanding the other poles' factors into a polynomial and
+    # evaluating it at the pole cancelled to 2.4e-10 relative error here.
+    den = Polynomial([1, Fraction(39, 4), Fraction(123, 4), 21, Fraction(-231, 4), -78,
+                      Fraction(89, 4), Fraction(261, 4), Fraction(21, 2), -17, -6])
+    sys_ = RationalSystem([Fraction(3, 2)], den)
+    assert sorted(p.multiplicity for p in sys_.poles()) == [1, 3, 3, 3]
+    cofactor, rest = divmod(den, Polynomial([1, Fraction(3, 4)]))
+    assert rest.is_zero
+    want = complex(Fraction(3, 2) / cofactor.evaluate(Fraction(-4, 3)))
+    assert want == -59049 / 2
+    (got,) = [t.coefficient for t in partial_fractions(sys_).terms
+              if abs(t.pole.value + 0.75) < 1e-9]
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@st.composite
+def _rational_factorizations(draw):
+    """Factors of degree 1-3 with small rational coefficients, each to a
+    multiplicity 1-3, of total degree 3-10."""
+    target = draw(st.integers(3, 10))
+    factors, degree = [], 0
+    while degree < target:
+        size = draw(st.integers(1, min(3, target - degree)))
+        m = draw(st.integers(1, min(3, (10 - degree) // size)))
+        coeffs = [1] + draw(st.lists(_PART, min_size=size, max_size=size))
+        assume(coeffs[-1])
+        factors.append((coeffs, m))
+        degree += size * m
+    return factors
+
+
+# Over the first 600 drawn systems (4597 residues) the largest relative error
+# was 5.1e-14 and the median 2.5e-16.  Expanding each pole's cofactor and
+# evaluating it at the pole gave up to 4.5e-12 on the first 100.
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_rational_factorizations(), st.lists(_PART.filter(bool), min_size=1, max_size=3))
+def test_numeric_residues_agree_with_mpmath(factors, num):
+    mpmath = pytest.importorskip("mpmath")
+    den = Polynomial([1])
+    for coeffs, m in factors:
+        for _ in range(m):
+            den = poly_mul(den, coeffs)
+    expansion = partial_fractions(RationalSystem(num, den))
+    # Square-free, pairwise coprime factors: every root is a distinct pole.
+    assume(len({t.pole for t in expansion.terms}) == sum(len(c) - 1 for c, _ in factors))
+    with mpmath.workdps(60):
+        def mp(c):
+            c = Fraction(c)
+            return mpmath.mpf(c.numerator) / c.denominator
+
+        poles = [(z, m) for coeffs, m in factors
+                 for z in mpmath.polyroots([mp(c) for c in coeffs], maxsteps=200, extraprec=200)]
+        # The reference residues solve N/D = sum c / (1 - p w)^j at as many
+        # points w, inside the disc where every term converges, as unknowns.
+        cols = [(p, j) for p, m in poles for j in range(1, m + 1)]
+        radius = 1 / (3 * (1 + max(abs(p) for p, _ in poles)))
+        ws = [radius * mpmath.expjpi(mpmath.mpf(2 * s + 1) / len(cols)) for s in range(len(cols))]
+        rows = [[1 / (1 - p * w) ** j for p, j in cols] for w in ws]
+        ratios = [mpmath.polyval([mp(c) for c in reversed(num)], w)
+                  / mpmath.polyval([mp(c.a) for c in reversed(den.coeffs)], w) for w in ws]
+        residues = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(ratios))
+        for t in expansion.terms:
+            nearest = min((p for p, _ in cols), key=lambda p: abs(p - complex(t.pole.value)))
+            want = next(residues[k] for k, (p, j) in enumerate(cols) if p == nearest and j == t.order)
+            # 1e-40 absorbs the reference's own noise where a residue is exactly 0.
+            assert abs(complex(t.coefficient) - want) <= 2e-13 * abs(want) + 1e-40
+
+
 # ---------------------------------------------------------
 # Inverse transforms per region
 # ---------------------------------------------------------
@@ -908,6 +978,22 @@ def test_cascade_with_accumulator():
 def test_cascade_is_commutative():
     a, b = fibonacci_system(), accumulator_system()
     assert cascade(a, b) == cascade(b, a)
+
+
+def test_cascade_factors_do_not_depend_on_which_poles_were_asked_first():
+    # (1 - z^-1 - z^-2)^2 (1 - 3 z^-1 + z^-2) multiplied out, then 1 + z^-1 - z^-2.
+    den_a = [1, -5, 6, 3, -6, -1, 1]
+    own = {(PHI, 2), (PSI, 2), (PHI + 1, 1), (2 - PHI, 1)}
+    want = own | {(PHI - 1, 1), (PSI - 1, 1)}
+    for warm in (False, True):
+        a, b = RationalSystem([1], den_a), RationalSystem([1], [1, 1, -1])
+        if warm:
+            a.poles()
+            b.poles()
+        combined = cascade(a, b)
+        assert combined.pole_factors is not None
+        assert {(p.value, p.multiplicity) for p in combined.poles()} == want
+    assert {(p.value, p.multiplicity) for p in RationalSystem([1], den_a).pole_factors} == own
 
 
 def test_cross_field_cascade_falls_back_to_numeric_poles():
