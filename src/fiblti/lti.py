@@ -4,11 +4,12 @@ Transfer functions are ratios of polynomials in z^-1 with exact coefficients
 (see `qfield`, whose Kronecker-substitution product multiplies them).  A
 denominator splits exactly into square-free parts (Yun's algorithm), so
 every pole multiplicity is exact; parts of degree <= 2 factor over the
-rationals or a real quadratic field.  Otherwise, unless a factored pole
-multiset is carried along (as `cascade` does), the poles are numeric, found
-in plain Python (Aberth–Ehrlich, then one Newton step in integer arithmetic
-on a rational polynomial where the root is simple, so each is the correctly
-rounded root).  Regions of
+rationals or a real quadratic field.  The other parts have numeric roots,
+found in plain Python (Aberth–Ehrlich, then one Newton step in integer
+arithmetic on a rational polynomial where the root is simple, so each is
+the correctly rounded root).  Each system keeps these factors as one
+record, and `cascade` and `reciprocal_system` build their results' records
+from their operands' instead of searching again.  Regions of
 convergence are open annuli between pole moduli.  Partial-fraction residues
 come from the cover-up rule, each pole's from products of pole differences
 and truncated series, with no cofactor expanded.  The inverse
@@ -441,19 +442,28 @@ class SequenceWindow:
         return f"SequenceWindow(n0={self._n0}, values=[{vals}])"
 
 
+class _Part(NamedTuple):
+    """A square-free factor that `_exact_poles` cannot split, with its roots."""
+
+    part: Polynomial  # constant term 1
+    multiplicity: int
+    roots: tuple[complex, ...]  # correctly rounded, by `_numeric_poles`
+
+
 class RationalSystem:
     """A rational transfer function N(z^-1)/D(z^-1) with exact coefficients.
 
-    The denominator is normalized so its constant term is 1.  A factored pole
-    multiset may be attached (`cascade` merges its operands' `pole_factors`);
-    its int/Fraction pole values are lifted to field elements, equal values
-    merge into one pole whose multiplicities add, and its expansion is
-    verified against the denominator at construction.  Otherwise the poles
-    are found once, on first use (`poles` or `pole_factors`), whichever of
-    the two is asked first.
+    The denominator is normalized so its constant term is 1.  Its poles come
+    from one record of pairwise coprime square-free factors with their
+    multiplicities, each an exact linear factor (the `Pole` of its root) or
+    a `_Part` with numeric roots.  `cascade` and `reciprocal_system` build
+    it from their operands'; otherwise `_factorise` finds it on first use.
+    Poles passed as `poles` become the record: int/Fraction values lifted to
+    field elements, equal values merged (multiplicities add), and the
+    expansion verified against the denominator.
     """
 
-    __slots__ = ("_num", "_den", "_poles")
+    __slots__ = ("_num", "_den", "_factors")
 
     def __init__(self, numerator, denominator, poles: "Iterable[Pole] | None" = None) -> None:
         num = _as_poly(numerator)
@@ -468,19 +478,17 @@ class RationalSystem:
             den = den / lead
         self._num = num
         self._den = den
+        self._factors = None
         if poles is not None:
             poles = tuple(poles)
             if not all(p.exact for p in poles):
                 raise ValueError("a stored pole multiset must be exact")
-            counts: dict = {}
-            for value, pole in zip(_lift(p.value for p in poles), poles):
-                counts[value] = counts.get(value, 0) + pole.multiplicity
-            poles = tuple(sorted((Pole(v, m) for v, m in counts.items()), key=_pole_sort_key))
-            if _expand_factors(poles) != den:
+            values = _lift(p.value for p in poles)
+            self._factors = _merge(Pole(v, p.multiplicity) for v, p in zip(values, poles))
+            if _expand_factors(self._factors) != den:
                 raise MalformedSystemError(
                     "factored pole multiset does not expand to the denominator"
                 )
-        self._poles = poles
 
     @property
     def numerator(self) -> Polynomial:
@@ -491,23 +499,24 @@ class RationalSystem:
         return self._den
 
     @property
-    def pole_factors(self) -> "tuple[Pole, ...] | None":
-        """The exact pole multiset, or None if the poles are numeric or cannot be found."""
-        try:
-            poles = self.poles()
-        except ArithmeticError:
-            return None
-        return poles if all(p.exact for p in poles) else None
-
-    @property
     def order(self) -> int:
         return self._den.degree
 
+    def _record(self) -> tuple:
+        """The factor record, found on first use."""
+        if self._factors is None:
+            self._factors = _factorise(self._den)
+        return self._factors
+
     def poles(self) -> tuple[Pole, ...]:
-        """Exact poles when known, else the numeric fallback's (found once)."""
-        if self._poles is None:
-            self._poles = tuple(find_poles(self._den))
-        return self._poles
+        """Poles by modulus; all complex once a factor is numeric or exact roots span two fields."""
+        factors = self._record()
+        poles = [f for f in factors if isinstance(f, Pole)]
+        exact = len(poles) == len(factors) and len({p.value.d for p in poles if p.value.b}) < 2
+        poles += [Pole(z, f.multiplicity) for f in factors if isinstance(f, _Part) for z in f.roots]
+        if not exact:
+            poles = [Pole(complex(p.value), p.multiplicity) for p in poles]
+        return tuple(sorted(poles, key=_pole_sort_key))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalSystem):
@@ -545,45 +554,54 @@ def _expand_factors(poles: Iterable[Pole]) -> Polynomial:
 def find_poles(den) -> list[Pole]:
     """Poles (z-plane roots of the denominator) with exact multiplicities.
 
+    The poles of ``RationalSystem([1], den)``, so `den` is normalized, and
+    checked (MalformedSystemError), as a system's denominator.
+    """
+    return list(RationalSystem([1], den).poles())
+
+
+def _factorise(den: Polynomial) -> tuple:
+    """The factor record of a denominator with constant term 1.
+
     A denominator of degree >= 3 first splits into square-free parts by
     Yun's algorithm (`_square_free_parts`), so no float decides a
     multiplicity.  Parts of degree <= 2 factor exactly where they can
-    (`_exact_poles`).  If any part does not (degree >= 3, a complex pair, or
-    roots from two fields), every pole is reported numerically with its
-    part's multiplicity and flagged inexact: an exact root as the complex of
-    its value, the others correctly rounded by `_numeric_poles`.  Poles are
-    sorted by modulus.
+    (`_exact_poles`); any other part (degree >= 3, a complex pair, or a
+    discriminant root from another field) is kept whole with its correctly
+    rounded roots (`_numeric_poles`).
     """
-    den = _as_poly(den)
-    if den.is_zero:
-        raise MalformedSystemError("denominator is the zero polynomial")
     if den.degree < 1:
-        return []
-    poles: list[Pole] = []
+        return ()
+    factors: list = []
     for part, m in _square_free_parts(den) if den.degree >= 3 else [(den, 1)]:
-        found = _exact_poles(part.coeffs) or [Pole(z) for z in _numeric_poles(part)]
-        poles += [Pole(p.value, p.multiplicity * m) for p in found]
-    if not all(p.exact for p in poles) or len({p.value.d for p in poles if p.value.b}) > 1:
-        poles = [Pole(complex(p.value), p.multiplicity) for p in poles]
-    return sorted(poles, key=_pole_sort_key)
+        factors += _exact_poles(part.coeffs, m) or [_Part(part, m, _numeric_poles(part))]
+    return tuple(factors)
 
 
-def _exact_poles(c) -> "list[Pole] | None":
-    """Exact roots of c0 z^n + ... + cn (the denominator read in powers of z), n <= 2, or None."""
+def _merge(poles: Iterable[Pole]) -> tuple[Pole, ...]:
+    """Linear factors with equal roots joined into one; multiplicities add."""
+    counts: dict = {}
+    for p in poles:
+        counts[p.value] = counts.get(p.value, 0) + p.multiplicity
+    return tuple(Pole(v, m) for v, m in counts.items())
+
+
+def _exact_poles(c, m: int) -> "list[Pole] | None":
+    """Exact roots of c0 z^n + ... + cn, n <= 2, a factor of multiplicity m, or None."""
     if len(c) == 2:
         # c0 + c1 w = 0 at w = 1/z, so z = -c1/c0.
-        return [Pole(-(c[1] / c[0]))]
+        return [Pole(-(c[1] / c[0]), m)]
     if len(c) != 3:
         return None
     c0, c1, c2 = c
     disc = c1 * c1 - 4 * c0 * c2
     if not disc:
-        return [Pole(-(c1 / (2 * c0)), 2)]
+        return [Pole(-(c1 / (2 * c0)), 2 * m)]
     root = sqrt_exact(disc)
     if root is None:
         return None
     try:
-        return [Pole((-c1 + sign * root) / (2 * c0)) for sign in (1, -1)]
+        return [Pole((-c1 + sign * root) / (2 * c0), m) for sign in (1, -1)]
     except FieldMismatchError:
         # Discriminant root lives in a different field than the coefficients.
         return None
@@ -643,7 +661,7 @@ def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return g / g.coeffs[0]
 
 
-def _numeric_poles(part: Polynomial) -> list[complex]:
+def _numeric_poles(part: Polynomial) -> tuple[complex, ...]:
     """The correctly rounded roots of a square-free part.
 
     Each root from `_aberth_roots` goes onto an axis it lies on to rounding
@@ -676,7 +694,7 @@ def _numeric_poles(part: Polynomial) -> list[complex]:
             roots.append(_on_axis(_exact_newton(ints, z)))
     if len(set(roots)) < len(roots):
         raise ArithmeticError("numeric root finder found one root twice")
-    return roots
+    return tuple(roots)
 
 
 def _on_axis(z: complex) -> complex:
@@ -1013,38 +1031,50 @@ def reciprocal_system(sys: RationalSystem) -> RationalSystem:
     where rev reverses a coefficient list.  The pure delay and a sign -1 both
     have unit modulus on the unit circle, so they are stripped: the result is
     rev(N)/rev(D) with denominator constant term 1 (d_K != 0, since trailing
-    zeros are trimmed) and a positive leading numerator coefficient, and its
-    poles are exactly the reciprocals of the original ones.  deg N > K leaves
-    the advance z^(deg N - K), which has no causal form, so it raises
-    MalformedSystemError.
+    zeros are trimmed) and a positive leading numerator coefficient (the sign
+    of n_M d_K).  Its factor record reverses the original's: an exact root is
+    inverted, a numeric part reversed and its roots found on it alone.  deg N
+    > K leaves the advance z^(deg N - K), which has no causal form, so it
+    raises MalformedSystemError.
     """
     num, den = sys.numerator, sys.denominator
     if num.degree > den.degree:
         raise MalformedSystemError("reciprocal system has no causal representation")
-    poles = None
-    if sys.pole_factors is not None:
-        poles = [Pole(p.value.inv(), p.multiplicity) for p in sys.pole_factors]
-    flipped = RationalSystem(num.coeffs[::-1], den.coeffs[::-1], poles)
-    if not flipped.numerator.is_zero and flipped.numerator.coeffs[0].sign() < 0:
-        flipped = RationalSystem(-flipped.numerator, flipped.denominator, poles)
+    if not num.is_zero and num.coeffs[-1].sign() * den.coeffs[-1].sign() < 0:
+        num = -num
+    flipped = RationalSystem(num.coeffs[::-1], den.coeffs[::-1])
+    factors = []
+    try:
+        for f in sys._record():
+            if isinstance(f, Pole):
+                factors.append(Pole(f.value.inv(), f.multiplicity))
+            else:
+                part = Polynomial(f.part.coeffs[::-1]) / f.part.coeffs[-1]
+                factors.append(_Part(part, f.multiplicity, _numeric_poles(part)))
+    except ArithmeticError:  # roots not found: the flipped system finds its own
+        return flipped
+    flipped._factors = tuple(factors)
     return flipped
 
 
 def cascade(a: RationalSystem, b: RationalSystem) -> RationalSystem:
     """Series connection: numerators and denominators multiply.
 
-    Factored pole multisets merge (multiplicities add), so exact pole
-    knowledge survives past the degree-2 factoring limit.
+    The factor records join, equal exact roots adding their multiplicities,
+    so exact poles survive past the degree-2 factoring limit.  With a numeric
+    part, they join only if the denominators are coprime; else the product
+    finds its own record on first use.
     """
-    num = a.numerator * b.numerator
-    den = a.denominator * b.denominator
-    pa, pb = a.pole_factors, b.pole_factors
-    if pa is not None and pb is not None:
-        try:
-            return RationalSystem(num, den, (*pa, *pb))
-        except FieldMismatchError:
-            pass
-    return RationalSystem(num, den)
+    product = RationalSystem(a.numerator * b.numerator, a.denominator * b.denominator)
+    try:
+        factors = (*a._record(), *b._record())
+    except ArithmeticError:  # roots not found: the product finds its own
+        return product
+    if all(isinstance(f, Pole) for f in factors):
+        product._factors = _merge(factors)
+    elif not _gcd(a.denominator, b.denominator).degree:
+        product._factors = factors
+    return product
 
 
 def fibonacci_system() -> RationalSystem:

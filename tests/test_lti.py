@@ -546,17 +546,48 @@ def test_poles_are_found_once_per_system(monkeypatch):
     import fiblti.lti as lti
 
     calls = []
+    for name in ("_factorise", "_numeric_poles"):
+        def counted(arg, name=name, search=getattr(lti, name)):
+            calls.append(name)
+            return search(arg)
 
-    def counted(den):
-        calls.append(den)
-        return find_poles(den)
-
-    monkeypatch.setattr(lti, "find_poles", counted)
+        monkeypatch.setattr(lti, name, counted)
     sys_ = RationalSystem([1], [1, Fraction(-13, 12), Fraction(3, 8), Fraction(-1, 24)])
     sys_.poles()
     sys_.poles()
     partial_fractions(sys_)
-    assert len(calls) == 1
+    assert calls == ["_factorise", "_numeric_poles"]
+    # Systems whose poles are known: cascades and reciprocals search nothing
+    # more, except the reversed numeric part of a reciprocal.
+    fib_sys = fibonacci_system()
+    fib_sys.poles()
+    calls.clear()
+    cascade(sys_, fib_sys).poles()
+    cascade(fib_sys, fib_sys).poles()
+    reciprocal_system(fib_sys).poles()
+    assert calls == []
+    reciprocal_system(sys_).poles()
+    assert calls == ["_numeric_poles"]
+    # A self-cascade shares its numeric part, so the product searches once.
+    calls.clear()
+    doubled = cascade(sys_, sys_)
+    doubled.poles()
+    doubled.poles()
+    assert calls == ["_factorise", "_numeric_poles"]
+    assert [p.multiplicity for p in doubled.poles()] == [2, 2, 2]
+
+
+def test_stored_poles_from_two_fields_are_rejected():
+    den = poly_mul([1, -1, -1], [1, -2, -1])
+    poles = [Pole(PHI), Pole(PSI), Pole(QuadRational(1, 1, 2)), Pole(QuadRational(1, -1, 2))]
+    with pytest.raises(FieldMismatchError):
+        RationalSystem([1], den, poles)
+
+
+@pytest.mark.parametrize("den", [[0, 1], [0, 1, 1], [0, 0, 1, 1]])
+def test_find_poles_rejects_a_zero_constant_term(den):
+    with pytest.raises(MalformedSystemError):
+        find_poles(den)
 
 
 # ---------------------------------------------------------
@@ -936,10 +967,10 @@ def test_reciprocal_pole_inversion():
 @pytest.mark.parametrize("value", [2, Fraction(2)])
 def test_rational_pole_values_are_stored_as_field_elements(value):
     sys_ = RationalSystem([1], [1, -2], [Pole(value)])
-    assert isinstance(sys_.pole_factors[0].value, QuadRational)
+    assert isinstance(sys_.poles()[0].value, QuadRational)
     flipped = reciprocal_system(sys_)
     assert flipped == RationalSystem([Fraction(1, 2)], [1, Fraction(-1, 2)])
-    assert flipped.pole_factors == (Pole(QuadRational(Fraction(1, 2))),)
+    assert flipped.poles() == (Pole(QuadRational(Fraction(1, 2))),)
 
 
 def test_reciprocal_without_causal_form_is_rejected():
@@ -991,18 +1022,74 @@ def test_cascade_factors_do_not_depend_on_which_poles_were_asked_first():
             a.poles()
             b.poles()
         combined = cascade(a, b)
-        assert combined.pole_factors is not None
+        assert all(p.exact for p in combined.poles())
         assert {(p.value, p.multiplicity) for p in combined.poles()} == want
-    assert {(p.value, p.multiplicity) for p in RationalSystem([1], den_a).pole_factors} == own
+    assert {(p.value, p.multiplicity) for p in RationalSystem([1], den_a).poles()} == own
 
 
 def test_cross_field_cascade_falls_back_to_numeric_poles():
     other = RationalSystem([1], [1, -2, -1])
     combined = cascade(other, fibonacci_system())
-    assert combined.pole_factors is None
+    assert not any(p.exact for p in combined.poles())
     mods = sorted(abs(p.as_complex()) for p in combined.poles())
     expect = sorted([2**0.5 - 1, float(PHI) - 1, float(PHI), 1 + 2**0.5])
     assert mods == pytest.approx(expect, abs=1e-9)
+
+
+@st.composite
+def _sections(draw, d):
+    """One or two denominator sections, each to a multiplicity 1-2: exact
+    linear factors over Q and Q(sqrt(d)), rational quadratics (rational,
+    quadratic-field or complex pairs) and rational cubics (mostly numeric)."""
+    sections = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("linear", "quadratic", "cubic")))
+        if kind == "linear":
+            coeffs = [1, -QuadRational(draw(_PART), draw(_PART), d)]
+        else:
+            size = 2 if kind == "quadratic" else 3
+            coeffs = [1] + draw(st.lists(_PART, min_size=size, max_size=size))
+        assume(coeffs[-1])
+        sections.append((coeffs, (), draw(st.integers(1, 2))))
+    return sections
+
+
+def _record_roots(record):
+    """A factor record as the multiset of (root as a complex, multiplicity)."""
+    return Counter(
+        (complex(z), f.multiplicity)
+        for f in record
+        for z in ((f.value,) if isinstance(f, Pole) else f.roots)
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.sampled_from((2, 3, 5)).flatmap(lambda d: st.tuples(_sections(d), _sections(d))),
+    st.sampled_from(("cascade", "self-cascade", "reciprocal")),
+)
+# Q(sqrt(5)) x Q(sqrt(2)): exact records whose roots come from two fields.
+@example(([([1, -1, -1], (), 1)], [([1, -2, -1], (), 1)]), "cascade")
+# A numeric cubic beside the Fibonacci pair, and squared.
+@example(([([1, Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 7)], (), 1)],
+          [([1, -1, -1], (), 1)]), "cascade")
+@example(([([1, Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 7)], (), 1),
+           ([1, -1, -1], (), 2)], [([1, -2], (), 1)]), "self-cascade")
+def test_built_record_equals_the_record_found_from_scratch(pair, op):
+    import fiblti.lti as lti
+
+    a, b = (RationalSystem([1], _expand(sections)) for sections in pair)
+    try:
+        built = {
+            "cascade": lambda: cascade(a, b),
+            "self-cascade": lambda: cascade(a, a),
+            "reciprocal": lambda: reciprocal_system(a),
+        }[op]()
+        found = lti._factorise(built.denominator)
+        record = built._record()
+    except ArithmeticError:
+        assume(False)
+    assert _record_roots(record) == _record_roots(found)
 
 
 # ---------------------------------------------------------
