@@ -63,12 +63,11 @@ def fib_binet_exact(n: int) -> int:
 
     All arithmetic stays in Q(sqrt(5)); any integer n is accepted, so this is
     also the natural engine for negative indices.  psi^n is the field
-    conjugate of phi^n, so one power serves both.
+    conjugate of phi^n = a + b*sqrt(5), so the difference is 2b*sqrt(5) and
+    the quotient 2b: one field power gives the value.
     """
-    power = GOLDEN_RATIO ** n
-    num = power - power.conj()
-    value = num / SQRT5
-    assert num.a == 0 and value.is_integer, "field arithmetic lost exactness"
+    value = 2 * (GOLDEN_RATIO ** n).b
+    assert value.denominator == 1, "field arithmetic lost exactness"
     return int(value)
 
 

@@ -19,7 +19,8 @@ z^-1 and the innermost disc the series in z (both `qfield._exact_quotient`),
 and an exact two-sided region splits the terms by side, recombines each
 side and runs it causally or anticausally.  Only a numeric two-sided region
 (and an expansion passed without its system) sums the terms as right- or
-left-sided pole powers, in floats for numeric poles.
+left-sided pole powers: in floats for numeric poles, and for exact ones on
+scaled integers (`qfield._exact_pole_sum`).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .qfield import (
     GOLDEN_RATIO,
     GOLDEN_RATIO_CONJUGATE,
     QuadRational,
+    _binom_weight,
+    _exact_pole_sum,
     _exact_product,
     _exact_quotient,
     _field,
@@ -899,14 +902,6 @@ def _scalar_map(exact: bool):
     return (lambda v: v) if exact else complex
 
 
-def _binom_weight(n: int, m: int) -> int:
-    """C(n+m-1, m-1) as the polynomial in n, valid for any integer n."""
-    num = 1
-    for i in range(1, m):
-        num *= n + i
-    return num // math.factorial(m - 1)
-
-
 def inverse_z(
     expansion: PartialFractionExpansion, roc: Roc, n0: int, n1: int
 ) -> SequenceWindow:
@@ -929,7 +924,8 @@ def inverse_z(
 
     Otherwise -- a numeric two-sided region, an expansion without its system,
     or N and D with irrational parts from two fields -- the window is the
-    pole sum (`_pole_sum`).
+    pole sum (`_pole_sum`): in floats for numeric poles, and on scaled
+    integers (`qfield._exact_pole_sum`) for exact ones.
     """
     if n1 < n0:
         raise ValueError(f"empty window [{n0}, {n1}]")
@@ -995,8 +991,17 @@ def _pole_sum(expansion: PartialFractionExpansion, right: list[bool], n0: int, n
     raises its pole once, at the end of its stretch nearest n = 0, and steps
     away from there by the pole (up) or its inverse (down), so a float power
     only shrinks: stepped up from a far negative n0 it would start from an
-    underflowed 0.
+    underflowed 0.  An exact expansion runs on scaled integer pairs
+    (`qfield._exact_pole_sum`), each sample reduced once; one whose values
+    lie in two fields falls back to the per-sample field arithmetic below,
+    which raises at the first sample that needs both.
     """
+    if expansion.exact:
+        terms = [(t.coefficient, t.pole.value, t.order, r) for t, r in zip(expansion.terms, right)]
+        try:
+            return SequenceWindow(n0, _exact_pole_sum(expansion.poly_part.coeffs, terms, n0, n1))
+        except FieldMismatchError:
+            pass
     scalar = _scalar_map(expansion.exact)
     zero = scalar(_ZERO)
     poly = [scalar(c) for c in expansion.poly_part.coeffs]

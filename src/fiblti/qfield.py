@@ -8,9 +8,13 @@ radius comparisons are settled by integer sign analysis, never by floats.
 A rational value (b = 0) has one representation and belongs to no
 particular field.  `sqrt_exact` is the one exact square root: a rational
 finds its root in the field it needs, an irrational value only in its own.
-Sequences of field elements multiply (as polynomials or as windows) through
-`_exact_product` and divide as series through `_exact_quotient`; both read
-and build the components directly, so they live beside the representation.
+Three kernels work on field elements as integer pairs A + B*sqrt(d) over
+one denominator, and reduce each output once: sequences multiply (as
+polynomials or as windows) through `_exact_product`, divide as series
+through `_exact_quotient`, and sum as pole powers c C(n+m-1, m-1) p^n
+through `_exact_pole_sum`.  `**` squares and multiplies the same pair.  The
+kernels read and build the components directly, so they live beside the
+representation.
 """
 
 from __future__ import annotations
@@ -282,20 +286,20 @@ class QuadRational:
         return pair[0] * self.inv()
 
     def __pow__(self, n: int) -> "QuadRational":
-        """Square-and-multiply power; negative exponents invert first."""
+        """Square-and-multiply power on the scaled integer pair, reduced once.
+
+        With self = (A + B sqrt(d))/Q, self^n = (A + B sqrt(d))^n / Q^n: the
+        pair is squared and multiplied in integers (`_pair_power`), and only
+        the result builds `Fraction`s.  Negative exponents invert first.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = QuadRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        (a,), (b,), q = _scaled((self,))
+        a, b = _pair_power(a, b, self._d, n)
+        q **= n
+        return QuadRational(Fraction(a, q), Fraction(b, q) if b else 0, self._d)
 
     # -- order and sign --------------------------------------------------------
 
@@ -547,6 +551,86 @@ def _exact_quotient(us, ds, count: int, start: int = 0) -> list[QuadRational]:
         if j >= start:
             den = m * lpow
             out.append(QuadRational(Fraction(a, den), Fraction(b, den) if b else 0, d or 5))
+        lpow *= lden
+    return out
+
+
+def _pair_power(x: int, y: int, d: int, n: int) -> tuple[int, int]:
+    """The integer pair of (x + y sqrt(d))^n for n >= 0, by square-and-multiply.
+
+    (x, y)(u, v) = (xu + d yv, xv + yu), so no step builds a `Fraction`.
+    """
+    px, py = 1, 0
+    while n:
+        if n & 1:
+            px, py = px * x + d * py * y, px * y + py * x
+        n >>= 1
+        if n:
+            x, y = x * x + d * y * y, 2 * x * y
+    return px, py
+
+
+def _binom_weight(n: int, m: int) -> int:
+    """C(n+m-1, m-1) as the polynomial in n, valid for any integer n."""
+    num = 1
+    for i in range(1, m):
+        num *= n + i
+    return num // math.factorial(m - 1)
+
+
+def _exact_pole_sum(poly, terms, n0: int, n1: int) -> list[QuadRational]:
+    """Samples n0..n1 of a pole sum over field elements, exactly.
+
+    Sample n is poly[n] (for 0 <= n < len(poly)) plus, for each term
+    (c, p, m, right), c C(n+m-1, m-1) p^n if right and n >= 0, or
+    -c C(n+m-1, m-1) p^n if not right and n <= -m.  So the samples n >= 0
+    hold only right-sided terms and the samples n < 0 only left-sided ones,
+    and each side is summed by `_one_sided_sum` as powers of its steps: p
+    on the right, 1/p on the left.  Values with irrational parts from two
+    fields raise FieldMismatchError.
+    """
+    d = _field((*poly, *(v for c, p, _, _ in terms for v in (c, p))))
+    values = []
+    if n0 < 0:
+        left = [(-c, p.inv(), m) for c, p, m, r in terms if not r]
+        values += _one_sided_sum([], left, -1, max(-n1, 1), -n0, d)[::-1]
+    if n1 >= 0:
+        right = [(c, p, m) for c, p, m, r in terms if r]
+        values += _one_sided_sum(poly, right, 1, max(n0, 0), n1, d)
+    return values
+
+
+def _one_sided_sum(poly, terms, sign: int, e0: int, e1: int, d: int) -> list[QuadRational]:
+    """Samples n = sign*e, e = e0..e1, of poly[n] + sum c C(n+m-1, m-1) s^e over terms (c, s, m).
+
+    A term starts at e = 0 on the right (sign 1) and at e = m on the left
+    (sign -1).  The coefficients and poly are scaled to integers over one
+    denominator C and the steps s over one denominator L (`_scaled`), so a
+    term at e is an integer pair over C L^e.  Each term raises its step
+    once, at its first e (`_pair_power`), and multiplies its pair by the
+    step from there; each sample is summed over C L^e and reduced once.
+    """
+    ca, cb, cden = _scaled([*poly, *(c for c, _, _ in terms)])
+    xs, ys, lden = _scaled([s for _, s, _ in terms])
+    acc_a = [0] * (e1 - e0 + 1)
+    acc_b = [0] * (e1 - e0 + 1)
+    for c_a, c_b, x, y, (_, _, m) in zip(ca[len(poly):], cb[len(poly):], xs, ys, terms):
+        first = max(e0, m if sign < 0 else 0)
+        pa, pb = _pair_power(x, y, d, first)
+        va, vb = c_a * pa + d * c_b * pb, c_a * pb + c_b * pa
+        for e in range(first, e1 + 1):
+            w = _binom_weight(sign * e, m)
+            acc_a[e - e0] += w * va
+            acc_b[e - e0] += w * vb
+            va, vb = va * x + d * vb * y, va * y + vb * x
+    out = []
+    lpow = lden**e0  # L^e
+    for e, a, b in zip(range(e0, e1 + 1), acc_a, acc_b):
+        if e < len(poly):
+            a += ca[e] * lpow
+            b += cb[e] * lpow
+        den = cden * lpow
+        out.append(QuadRational(Fraction(a, den), Fraction(b, den) if b else 0, d or 5))
         lpow *= lden
     return out
 

@@ -6,13 +6,14 @@ difference-equation simulator runs the recursion once in big integers
 output reduced once), `convolve` multiplies two windows as polynomials by
 Kronecker substitution (one big-int product per component), and the closed
 forms are `inverse_z` pole sums in Q(sqrt(5)) over the expansions of their
-systems, passed without the system so they stay independent of that
-recursion.  A float window enters both kernels as the exact binary values of
-its floats, and each output is rounded to a float once, so the result is
-inexact but correctly rounded.  The frequency side is a formal evaluation
-of the coefficient polynomials on the unit circle, computed in floats on a
-uniform [0, pi] grid; it deliberately ignores whether any region of
-convergence actually contains the circle, and says so in its metadata.
+systems (`qfield._exact_pole_sum`, on scaled integers), passed without the
+system so they stay independent of that recursion.  A float window enters
+both kernels as the exact binary values of its floats, and each output is
+rounded to a float once, so the result is inexact but correctly rounded.
+The frequency side is a formal evaluation of the coefficient polynomials on
+the unit circle, computed in floats on a uniform [0, pi] grid; it
+deliberately ignores whether any region of convergence actually contains
+the circle, and says so in its metadata.
 Only the frequency-side functions use numpy, and each imports it itself, so
 the time-domain paths run without loading it.
 """

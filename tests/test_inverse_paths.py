@@ -6,10 +6,14 @@ its system, and sums pole powers when it does not.  Over random exact
 systems (rational or in one field Q(sqrt(d)), poles of multiplicity 1-3,
 some cancelled by a numerator zero) both paths, and the recursion of the
 recombined expansion, must give the same exact window in every region; the
-causal one must also equal the simulated difference equation.  Rational
-denominators of degree 3-5 handed over raw have numeric poles, yet their
-one-sided windows must still equal the simulation exactly.
+causal one must also equal the simulated difference equation.  Exact pole
+sums run on scaled integers; with poles of multiplicity up to 4, improper
+numerators and windows out to about +-300, they must equal both the
+recursion and the pole sum done sample by sample in field arithmetic.
+Rational denominators of degree 3-5 handed over raw have numeric poles, yet
+their one-sided windows must still equal the simulation exactly.
 """
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,15 +42,20 @@ WINDOWS = ((-7, 7), (-12, -4), (3, 9))
 
 
 @st.composite
-def factored_systems(draw):
+def factored_systems(draw, max_multiplicity=3, improper=False):
     d = draw(st.sampled_from((0, 2, 3, 5)))
     value = st.builds(lambda a, b: QuadRational(a, b if d else 0, d or 5), SMALL, HALF)
     values = draw(st.lists(value.filter(bool), min_size=1, max_size=3, unique=True))
-    poles = [Pole(v, draw(st.integers(1, 3))) for v in values]
+    poles = [Pole(v, draw(st.integers(1, max_multiplicity))) for v in values]
     den = Polynomial([1])
     for p in poles:
         for _ in range(p.multiplicity):
             den = poly_mul(den, [1, -p.value])
+    if improper:
+        # deg N exceeds deg D by 1-3, so the expansion has a polynomial part.
+        size = den.degree + draw(st.integers(1, 3))
+        num = draw(st.lists(value, min_size=size, max_size=size)) + [draw(value.filter(bool))]
+        return RationalSystem(num, den, poles)
     num = Polynomial(draw(st.lists(value, min_size=1, max_size=4).filter(any)))
     if draw(st.booleans()):
         # A numerator zero on a pole lowers that pole's order in the response.
@@ -71,6 +80,52 @@ def test_recursion_pole_sum_and_recombination_agree_in_every_region(system):
     assert inverse_z(expansion, causal, 0, 15) == simulate_difference_equation(
         system, make_impulse(), 15
     )
+
+
+def field_pole_sum(expansion, roc, n0, n1):
+    """The window as per-sample field arithmetic: each term raises its pole
+    once, at the end of its stretch nearest n = 0, and steps from there."""
+    poly = expansion.poly_part.coeffs
+    values = [poly[n] if 0 <= n < len(poly) else QuadRational(0) for n in range(n0, n1 + 1)]
+    for t in expansion.terms:
+        c, p, m = t.coefficient, t.pole.value, t.order
+        if abs(p) <= roc.r_in:
+            ns, step = range(max(n0, 0), n1 + 1), p
+        else:
+            ns, step, c = range(min(n1, -m), n0 - 1, -1), 1 / p, -c
+        if not ns:
+            continue
+        power = p ** ns[0]
+        for n in ns:
+            if n >= 0:
+                weight = math.comb(n + m - 1, m - 1)
+            else:  # C(n+m-1, m-1) = (-1)^(m-1) C(-n-1, m-1) for negative n + m - 1
+                weight = (-1) ** (m - 1) * math.comb(-n - 1, m - 1)
+            values[n - n0] = values[n - n0] + c * weight * power
+            power = power * step
+    return values
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(factored_systems(max_multiplicity=4, improper=True), st.data())
+def test_integer_pole_sum_equals_the_recursion_and_the_field_pole_sum(system, data):
+    expansion = partial_fractions(system)
+    assert expansion.exact and not expansion.poly_part.is_zero
+    pole_sum = replace(expansion, system=None)
+    # One window across n = 0 and one far out on each side.
+    start = -data.draw(st.integers(1, 12))
+    far = data.draw(st.integers(270, 300))
+    windows = (
+        (start, start + data.draw(st.integers(1, 24))),
+        (-far, -far + data.draw(st.integers(0, 12))),
+        (far - data.draw(st.integers(0, 12)), far),
+    )
+    for roc in enumerate_rocs(system.poles()):
+        for n0, n1 in windows:
+            got = inverse_z(pole_sum, roc, n0, n1)
+            assert got.exact
+            assert got == inverse_z(expansion, roc, n0, n1)
+            assert list(got.values) == field_pole_sum(expansion, roc, n0, n1)
 
 
 @st.composite

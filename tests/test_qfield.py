@@ -426,6 +426,40 @@ def test_sqrt_exact_of_a_square_is_its_modulus(a, b, d):
     assert sqrt_exact(x * x) == abs(x)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.sampled_from([0, 2, 3, 5, 7]),
+    st.integers(-12, 40),
+)
+def test_pow_is_the_product_of_n_copies(a, b, d, n):
+    # d = 0 draws a rational x.
+    x = QuadRational(a, b if d else 0, d or 5)
+    if n < 0 and not x:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+        return
+    factor = x if n >= 0 else x.inv()
+    want = QuadRational(1)
+    for _ in range(abs(n)):
+        want = want * factor
+    got = x**n
+    assert got == want
+    # Canonical: reduced components, and radicand 5 once the result is rational.
+    rebuilt = QuadRational(got.a, got.b, got.d)
+    assert got == rebuilt and hash(got) == hash(rebuilt) == hash(want)
+    assert str(got) == str(rebuilt) == str(want)
+    assert repr(got) == repr(want)
+
+
+def test_pow_of_zero():
+    zero = QuadRational(0)
+    assert zero**0 == 1 and zero**5 == 0
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_RATIONALS)
 def test_sqrt_exact_of_a_rational_lives_in_its_square_free_part(r):
