@@ -8,6 +8,12 @@ step response), `cascade` (series connection, optionally with its impulse
 window), `props` (identity battery) and `minphase` (the decaying closed
 form).  Output is deterministic: identical invocations produce identical
 bytes.  Exit codes: 0 on success, 2 on usage errors, 1 on computation errors.
+
+Each handler imports the library names it uses, so a command loads only the
+modules it runs: `gen` and `props` load `qfield` and `fib`; `impz`,
+`analyze` and `cascade` load `qfield` and `lti`; `step`, `minphase`,
+`respond` and `freqz` load `response` on top of those two, and `freqz` then
+numpy.  Importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -16,31 +22,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .fib import (
-    appendix_forms_equal,
-    check_identities,
-    fib_binet_exact,
-    fib_fast_doubling,
-    fib_recursive,
-    ratio_convergence,
-)
-from .lti import (
-    RationalSystem,
-    cascade,
-    enumerate_rocs,
-    inverse_z,
-    partial_fractions,
-)
-from .response import (
-    Signal,
-    fibonacci_band_features,
-    fibonacci_magnitude_law,
-    freq_response,
-    min_phase_impulse,
-    simulate_difference_equation,
-    step_response_closed_form,
-)
+if TYPE_CHECKING:
+    from .lti import RationalSystem
+    from .response import Signal
 
 __all__ = ["main"]
 
@@ -81,10 +67,14 @@ def _int_at_least(low: int):
 
 
 def _system(args) -> RationalSystem:
+    from .lti import RationalSystem
+
     return RationalSystem(args.num, args.den)
 
 
 def _read_signal(path: str) -> Signal:
+    from .response import Signal
+
     entries: dict[int, Fraction] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -181,6 +171,8 @@ def _select_roc(rocs, selector: str, parser) -> "object":
 
 
 def _impulse_window(sys_, selector: str, start: int, stop: int, parser):
+    from .lti import enumerate_rocs, inverse_z, partial_fractions
+
     if stop < start:
         parser.error(f"last index {stop} precedes first index {start}")
     expansion = partial_fractions(sys_)
@@ -193,6 +185,8 @@ def _impulse_window(sys_, selector: str, start: int, stop: int, parser):
 
 
 def _cmd_gen(args, parser) -> str:
+    from .fib import fib_binet_exact, fib_fast_doubling, fib_recursive
+
     if args.start < 0 and args.engine != "binet":
         parser.error(f"engine {args.engine!r} needs --start >= 0 (binet accepts any index)")
     if args.engine == "recursive":
@@ -211,6 +205,8 @@ def _cmd_gen(args, parser) -> str:
 
 
 def _cmd_analyze(args, parser) -> str:
+    from .lti import enumerate_rocs, partial_fractions
+
     sys_ = _system(args)
     poles = sys_.poles()
     rocs = enumerate_rocs(poles)
@@ -241,6 +237,9 @@ def _cmd_impz(args, parser) -> str:
 
 
 def _cmd_freqz(args, parser) -> str:
+    # The library loads first: compiling it after numpy raises the peak RSS.
+    from .response import fibonacci_band_features, fibonacci_magnitude_law, freq_response
+
     try:
         import numpy as np
     except ImportError:
@@ -282,16 +281,22 @@ def _cmd_freqz(args, parser) -> str:
 
 
 def _cmd_respond(args, parser) -> str:
+    from .response import simulate_difference_equation
+
     signal = _read_signal(args.input)
     win = simulate_difference_equation(_system(args), signal, args.stop)
     return _emit_sequence(win, args.format)
 
 
 def _cmd_step(args, parser) -> str:
+    from .response import step_response_closed_form
+
     return _emit_sequence(step_response_closed_form(args.stop), args.format)
 
 
 def _cmd_cascade(args, parser) -> str:
+    from .lti import RationalSystem, cascade
+
     combined = cascade(
         RationalSystem(args.num_a, args.den_a),
         RationalSystem(args.num_b, args.den_b),
@@ -311,6 +316,8 @@ def _cmd_cascade(args, parser) -> str:
 
 
 def _cmd_props(args, parser) -> str:
+    from .fib import appendix_forms_equal, check_identities, ratio_convergence
+
     report = check_identities(args.nmax)
     ratio_index = None
     if args.ratio_tol is not None:
@@ -348,6 +355,8 @@ def _cmd_props(args, parser) -> str:
 
 
 def _cmd_minphase(args, parser) -> str:
+    from .response import min_phase_impulse
+
     return _emit_sequence(min_phase_impulse(args.stop), args.format)
 
 

@@ -11,8 +11,8 @@ shifted sequence f(n+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qfield import GOLDEN_RATIO, GOLDEN_RATIO_CONJUGATE, SQRT5, QuadRational, int_sqrt_exact
 
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FibValue:
+class FibValue(NamedTuple):
     """One sequence sample: f(index) = value."""
 
     index: int
@@ -99,8 +98,7 @@ def fib_extended(n: int) -> int:
     return value if m % 2 else -value
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Result of sweeping one identity family over 1..n_max."""
 
     name: str
@@ -113,8 +111,7 @@ class IdentityCheck:
         return self.passed == self.checked
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     n_max: int
     checks: tuple[IdentityCheck, ...]
 
@@ -205,8 +202,7 @@ def ratio_convergence(n_max: int, tol) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     """Per-form agreement of the closed forms for f(n+1) over 0..n_max."""
 
     n_max: int

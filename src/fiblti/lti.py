@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from sys import float_info
 from typing import Iterable, NamedTuple, Union
@@ -251,8 +250,7 @@ def poly_mul(p, q) -> Polynomial:
     return _as_poly(p) * _as_poly(q)
 
 
-@dataclass(frozen=True)
-class Pole:
+class Pole(NamedTuple):
     """A denominator root in the z plane with its multiplicity.
 
     `value` is an exact field element on the exact path, or a Python complex
@@ -278,8 +276,7 @@ def _pole_sort_key(p: Pole):
     return (abs(z), z.real, z.imag)
 
 
-@dataclass(frozen=True)
-class Roc:
+class Roc(NamedTuple):
     """An open annulus r_in < |z| < r_out; ``r_out is None`` means unbounded.
 
     Radii are exact field elements on the exact path, floats otherwise.  The
@@ -795,8 +792,7 @@ def enumerate_rocs(poles: Iterable[Pole]) -> list[Roc]:
     return [Roc(r_in, r_out) for r_in, r_out in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
-class PartialFractionTerm:
+class PartialFractionTerm(NamedTuple):
     """One term coefficient/(1 - pole*z^-1)^order of an expansion."""
 
     pole: Pole
@@ -804,7 +800,6 @@ class PartialFractionTerm:
     coefficient: QuadRational | complex
 
 
-@dataclass(frozen=True)
 class PartialFractionExpansion:
     """Terms plus the finite polynomial part from polynomial division.
 
@@ -813,12 +808,38 @@ class PartialFractionExpansion:
     how `inverse_z` computes a window: with a system, every window whose
     poles all lie on one side of the region, and every window of an exact
     expansion, comes from the system's recursion; without one, every window
-    is the pole sum of the terms.  It takes no part in equality or repr.
+    is the pole sum of the terms.  It takes no part in equality, hashing or
+    repr.  The fields are read-only.
     """
 
-    terms: tuple[PartialFractionTerm, ...]
-    poly_part: Polynomial
-    system: "RationalSystem | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ("terms", "poly_part", "system")
+
+    def __init__(
+        self,
+        terms: tuple[PartialFractionTerm, ...],
+        poly_part: Polynomial,
+        system: "RationalSystem | None" = None,
+    ) -> None:
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "poly_part", poly_part)
+        object.__setattr__(self, "system", system)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.terms, self.poly_part, self.system)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PartialFractionExpansion):
+            return (self.terms, self.poly_part) == (other.terms, other.poly_part)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.poly_part))
+
+    def __repr__(self) -> str:
+        return f"PartialFractionExpansion(terms={self.terms!r}, poly_part={self.poly_part!r})"
 
     @property
     def exact(self) -> bool:

@@ -411,30 +411,40 @@ def sqrt_exact(x: "RationalLike | QuadRational") -> QuadRational | None:
     if not x:
         return x
     if not x.b:
-        # sqrt(n/m) = sqrt(n*m)/m, and n*m = s*s*k unless it is a square.
-        m = x.a.denominator
-        nm = x.a.numerator * m
-        r = int_sqrt_exact(nm)
+        r = _rational_sqrt(x.a)
         if r is not None:
-            return QuadRational(Fraction(r, m))
+            return QuadRational(r)
+        # sqrt(n/m) = sqrt(n*m)/m, and n*m = s*s*k with k > 1.
+        m = x.a.denominator
         try:
-            s, k = square_free_decompose(nm)
+            s, k = square_free_decompose(x.a.numerator * m)
         except ValueError:
             return None
         return QuadRational(0, Fraction(s, m), k)
     # Solve (p + q*sqrt(d))^2 = a + b*sqrt(d): p^2 + d q^2 = a, 2 p q = b,
-    # with p^2 = (a +- sqrt(norm))/2 and both roots rational.
-    root_norm = sqrt_exact(x.norm())
-    if root_norm is None or not root_norm.is_rational:
+    # with p^2 = (a +- sqrt(norm))/2 and both roots rational, so only
+    # rational roots are looked for.
+    root_norm = _rational_sqrt(x.norm())
+    if root_norm is None:
         return None
-    for p2 in ((x.a + root_norm.a) / 2, (x.a - root_norm.a) / 2):
-        p = sqrt_exact(p2)
-        if p is None or not p or not p.is_rational:
+    for p2 in ((x.a + root_norm) / 2, (x.a - root_norm) / 2):
+        p = _rational_sqrt(p2)
+        if not p:
             continue
-        cand = QuadRational(p.a, x.b / (2 * p.a), x.d)
+        cand = QuadRational(p, x.b / (2 * p), x.d)
         if cand * cand == x:
             return abs(cand)
     return None
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The rational r >= 0 with r*r == q, or None if there is none."""
+    if q < 0:
+        return None
+    # sqrt(n/m) = sqrt(n*m)/m: rational iff n*m is a square.
+    m = q.denominator
+    r = int_sqrt_exact(q.numerator * m)
+    return None if r is None else Fraction(r, m)
 
 
 def _field(values) -> int:

@@ -21,11 +21,11 @@ the time-domain paths run without loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lti import (
+    PartialFractionExpansion,
     RationalSystem,
     SequenceWindow,
     accumulator_system,
@@ -129,7 +129,8 @@ def _causal_impulse_response(sys: RationalSystem, n1: int) -> SequenceWindow:
     if n1 < 0:
         raise ValueError(f"n1 must be >= 0, got {n1}")
     causal = enumerate_rocs(sys.poles())[-1]
-    return inverse_z(replace(partial_fractions(sys), system=None), causal, 0, n1)
+    e = partial_fractions(sys)
+    return inverse_z(PartialFractionExpansion(e.terms, e.poly_part), causal, 0, n1)
 
 
 def step_response_closed_form(n1: int) -> SequenceWindow:
@@ -146,21 +147,38 @@ def min_phase_impulse(n1: int) -> SequenceWindow:
     return _causal_impulse_response(min_phase_system(), n1)
 
 
-@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Magnitude and principal phase on a uniform [0, pi] grid.
 
     `note` records that this is a formal evaluation of the coefficient
     polynomials on |z| = 1, regardless of whether any region of convergence
     contains the circle.  Grid points where the denominator vanishes carry
-    infinite magnitude and NaN phase.
+    infinite magnitude and NaN phase.  The fields are read-only; equality
+    and hashing are by identity, as the fields hold arrays.
     """
 
-    points: int
-    omegas: np.ndarray
-    magnitude: np.ndarray
-    phase: np.ndarray
-    note: str = field(default="formal unit-circle evaluation")
+    __slots__ = ("points", "omegas", "magnitude", "phase", "note")
+
+    def __init__(
+        self,
+        points: int,
+        omegas: np.ndarray,
+        magnitude: np.ndarray,
+        phase: np.ndarray,
+        note: str = "formal unit-circle evaluation",
+    ) -> None:
+        for name, value in zip(self.__slots__, (points, omegas, magnitude, phase, note)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"FrequencyGrid({fields})"
 
 
 def _eval_on_circle(poly, omegas: np.ndarray) -> np.ndarray:
@@ -192,8 +210,7 @@ def freq_response(sys: RationalSystem, points: int = 512) -> FrequencyGrid:
     return FrequencyGrid(points, omegas, magnitude, phase)
 
 
-@dataclass(frozen=True)
-class MagnitudeComparison:
+class MagnitudeComparison(NamedTuple):
     """Pointwise comparison of two magnitude responses on a shared grid."""
 
     points: int
@@ -221,8 +238,7 @@ def compare_magnitudes(a: RationalSystem, b: RationalSystem, points: int = 512) 
     return MagnitudeComparison(points, diff, float(np.min(ratio)), float(np.max(ratio)))
 
 
-@dataclass(frozen=True)
-class BandFeatures:
+class BandFeatures(NamedTuple):
     """Landmarks of the Fibonacci system's magnitude response on [0, pi]."""
 
     minimum_omega: float

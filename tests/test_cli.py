@@ -1,9 +1,11 @@
 # tests/test_cli.py
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -595,3 +597,96 @@ def test_numpy_is_imported_only_where_used(tmp_path, argv, loads_numpy):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == [0, loads_numpy]
+
+
+# ---------------------------------------------------------
+# start-up: each command loads only the modules it runs
+# ---------------------------------------------------------
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs in a fresh interpreter: imports the CLI, runs one command if given,
+# then prints which watched modules are loaded.
+_LOAD_PROBE = """
+import json, sys
+from fiblti.cli import main
+argv = json.loads(sys.argv[1])
+code = main(argv) if argv else 0
+watched = ("fiblti.qfield", "fiblti.fib", "fiblti.lti", "fiblti.response",
+           "dataclasses", "numpy")
+print(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
+"""
+
+
+def _run_in_fresh_interpreter(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+_QF, _FIB, _LTI, _RESP = "fiblti.qfield", "fiblti.fib", "fiblti.lti", "fiblti.response"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["gen", "--count", "3"], [_FIB, _QF]),
+    (["props", "--nmax", "5"], [_FIB, _QF]),
+    (["impz", "--den", "1,-1,-1", "--from", "0", "--to", "3"], [_LTI, _QF]),
+    (["analyze", "--den", "1,-1,-1"], [_LTI, _QF]),
+    (["cascade", "--den-a", "1,-1,-1", "--den-b", "1,-1"], [_LTI, _QF]),
+    (["step", "--to", "3"], [_LTI, _QF, _RESP]),
+    (["minphase", "--to", "3"], [_LTI, _QF, _RESP]),
+    (["respond", "--input", "{signal}", "--to", "3"], [_LTI, _QF, _RESP]),
+], ids=["import", "gen", "props", "impz", "analyze", "cascade", "step", "minphase", "respond"])
+def test_cli_start_up_loads_only_what_the_command_runs(tmp_path, argv, loaded):
+    signal = tmp_path / "signal.txt"
+    signal.write_text("0,1\n")
+    argv = [arg.replace("{signal}", str(signal)) for arg in argv]
+    assert _run_in_fresh_interpreter("-c", _LOAD_PROBE, json.dumps(argv)) == [0, loaded]
+
+
+# The package namespace before lazy loading, names and submodules alike.
+_PUBLIC_NAMES = [
+    "BandFeatures", "Classification", "ClosedFormReport", "FibValue",
+    "FieldMismatchError", "FrequencyGrid", "GOLDEN_RATIO", "GOLDEN_RATIO_CONJUGATE",
+    "IdentityCheck", "IdentityReport", "InvalidRocError", "MagnitudeComparison",
+    "MalformedSystemError", "PartialFractionExpansion", "PartialFractionTerm", "Pole",
+    "Polynomial", "QuadRational", "RationalSystem", "Roc", "SQRT5", "SequenceWindow",
+    "Signal", "accumulator_system", "appendix_forms_equal", "cascade",
+    "check_identities", "classify", "compare_magnitudes", "convolve", "enumerate_rocs",
+    "fib", "fib_binet_exact", "fib_extended", "fib_fast_doubling", "fib_recursive",
+    "fibonacci_band_features", "fibonacci_magnitude_law", "fibonacci_system",
+    "find_poles", "freq_response", "int_sqrt_exact", "inverse_z", "lti",
+    "make_impulse", "make_step", "min_phase_impulse", "min_phase_system",
+    "partial_fractions", "poly_mul", "qfield", "ratio_convergence",
+    "reciprocal_system", "response", "simulate_difference_equation", "sqrt_exact",
+    "square_free_decompose", "step_response_closed_form",
+]
+
+_NAMES_PROBE = """
+import json, sys
+import fiblti
+public = lambda names: sorted(n for n in names if not n.startswith("_"))
+listed = public(dir(fiblti))
+star = {}
+exec("from fiblti import *", star)
+resolved = {n: getattr(fiblti, n) for n in listed}
+modules = all(
+    resolved[n] is sys.modules[f"fiblti.{n}"] for n in ("qfield", "fib", "lti", "response")
+)
+print(json.dumps([listed, public(star), public(dir(fiblti)), modules]))
+"""
+
+
+def test_package_namespace_keeps_every_public_name():
+    listed, star, after, modules = _run_in_fresh_interpreter("-c", _NAMES_PROBE)
+    assert listed == star == after == _PUBLIC_NAMES
+    assert modules
+    import fiblti
+
+    assert fiblti.RationalSystem is RationalSystem
+    with pytest.raises(AttributeError):
+        fiblti.no_such_name

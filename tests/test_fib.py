@@ -204,3 +204,16 @@ def test_closed_forms_evaluate_in_the_field():
         v = (GOLDEN_RATIO ** (n + 1) - GOLDEN_RATIO_CONJUGATE ** (n + 1)) / SQRT5
         assert v == ref[n + 1]
         assert v.is_integer
+
+
+def test_fib_value_record_semantics():
+    value = fib_recursive(10, 1)[0]
+    assert repr(value) == "FibValue(index=10, value=55)"
+    assert value == FibValue(10, 55) and hash(value) == hash(FibValue(10, 55))
+    assert value != FibValue(10, 56)
+    with pytest.raises(AttributeError):
+        value.value = 56
+    report = check_identities(5)
+    assert report == check_identities(5) and hash(report) == hash(check_identities(5))
+    with pytest.raises(AttributeError):
+        report.n_max = 6

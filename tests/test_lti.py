@@ -1,5 +1,4 @@
 # tests/test_lti.py
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from fiblti.lti import (
     InvalidRocError,
     MalformedSystemError,
+    PartialFractionExpansion,
     PartialFractionTerm,
     Pole,
     Polynomial,
@@ -50,7 +50,8 @@ def fib(count):
 
 def pole_sum_only(sys_):
     """The expansion of sys_ without its system, so `inverse_z` sums pole powers."""
-    return dataclasses.replace(partial_fractions(sys_), system=None)
+    e = partial_fractions(sys_)
+    return PartialFractionExpansion(e.terms, e.poly_part)
 
 
 def random_poly(rng, max_degree=5):
@@ -1141,3 +1142,58 @@ def test_window_rejects_values_from_two_fields():
         SequenceWindow(0, [QuadRational(0, 1, 2), QuadRational(0, 1, 5)])
     win = SequenceWindow(0, [1, QuadRational(0, 1, 2)])
     assert win.value_at(0) == 1 and win.value_at(5) == 0
+
+
+# ---------------------------------------------------------
+# records: repr, equality, hashing and read-only fields
+# ---------------------------------------------------------
+def test_record_reprs():
+    half = Fraction(1, 2)
+    expansion = partial_fractions(RationalSystem([1, 2, 3], [1, -half]))
+    assert repr(expansion.terms[0].pole) == "Pole(value=QuadRational(1/2, 0, d=5), multiplicity=1)"
+    assert repr(Pole(complex(0.5, 1), 2)) == "Pole(value=(0.5+1j), multiplicity=2)"
+    assert repr(Roc(half, None)) == "Roc(r_in=Fraction(1, 2), r_out=None)"
+    assert repr(expansion.terms[0]) == (
+        "PartialFractionTerm(pole=Pole(value=QuadRational(1/2, 0, d=5), multiplicity=1),"
+        " order=1, coefficient=QuadRational(17, 0, d=5))"
+    )
+    assert repr(expansion) == (
+        f"PartialFractionExpansion(terms=({expansion.terms[0]!r},),"
+        " poly_part=Polynomial([-16, -6]))"
+    )
+
+
+def test_records_compare_and_hash_by_value():
+    records = (
+        lambda: Pole(PHI, 2),
+        lambda: Roc(Fraction(1, 2), PHI),
+        lambda: PartialFractionTerm(Pole(PSI), 1, SQRT5),
+        lambda: partial_fractions(fibonacci_system()),
+    )
+    for make in records:
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert Pole(PHI, 2) != Pole(PHI, 1)
+    assert Roc(Fraction(1, 2), None) != Roc(Fraction(1, 3), None)
+
+
+def test_expansion_equality_and_repr_ignore_its_system():
+    recorded = partial_fractions(fibonacci_system())
+    bare = PartialFractionExpansion(recorded.terms, recorded.poly_part)
+    assert recorded.system is not None and bare.system is None
+    assert recorded == bare and hash(recorded) == hash(bare)
+    assert repr(recorded) == repr(bare)
+    assert "system" not in repr(recorded)
+
+
+def test_record_fields_are_read_only():
+    expansion = partial_fractions(fibonacci_system())
+    for record, name, value in (
+        (Pole(PHI), "multiplicity", 2),
+        (Roc(Fraction(1, 2), None), "r_out", PHI),
+        (expansion.terms[0], "order", 2),
+        (expansion, "system", None),
+        (expansion, "terms", ()),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)

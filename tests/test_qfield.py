@@ -1,4 +1,5 @@
 # tests/test_qfield.py
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -413,6 +414,17 @@ def test_sqrt_exact_rejects_non_squares():
     assert sqrt_exact(-2) is None
     assert sqrt_exact(SQRT5) is None
     assert sqrt_exact(GOLDEN_RATIO) is None
+
+
+def test_sqrt_exact_of_a_field_element_skips_trial_division():
+    # The norm N^2 - 5 is 128 bits and no square.  Splitting off its square
+    # part by trial division took about 0.3 s; only a rational root matters.
+    n = 4294967291 * 4294967279
+    x = QuadRational(n, 1, 5)
+    start = time.perf_counter()
+    assert sqrt_exact(x) is None
+    assert time.perf_counter() - start < 0.05
+    assert sqrt_exact(x * x) == x
 
 
 _RADICANDS = st.sampled_from([2, 3, 5, 6, 7])

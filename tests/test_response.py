@@ -469,6 +469,13 @@ def test_grid_covers_zero_to_pi():
     assert grid.note == "formal unit-circle evaluation"
 
 
+def test_grid_compares_by_identity_and_is_read_only():
+    grid, again = (freq_response(fibonacci_system(), 8) for _ in range(2))
+    assert grid == grid and grid != again and hash(grid) != hash(again)
+    with pytest.raises(AttributeError):
+        grid.note = "changed"
+
+
 def test_magnitude_law_holds_on_the_grid():
     for points in (512, 513):
         grid = freq_response(fibonacci_system(), points)
