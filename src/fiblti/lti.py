@@ -12,15 +12,14 @@ record, and `cascade` and `reciprocal_system` build their results' records
 from their operands' instead of searching again.  Regions of
 convergence are open annuli between pole moduli.  Partial-fraction residues
 come from the cover-up rule, each pole's from products of pole differences
-and truncated series, with no cofactor expanded.  The inverse
-transform runs the system's recursion wherever one exists, so its samples
-are exact whatever the poles: the causal region reads the series of N/D in
-z^-1 and the innermost disc the series in z (both `qfield._exact_quotient`),
-and an exact two-sided region splits the terms by side, recombines each
-side and runs it causally or anticausally.  Only a numeric two-sided region
-(and an expansion passed without its system) sums the terms as right- or
-left-sided pole powers: in floats for numeric poles, and for exact ones on
-scaled integers (`qfield._exact_pole_sum`).
+and truncated series, with no cofactor expanded.  The region's side picks
+the inverse transform's path.  A one-sided region runs the system's
+recursion, so its samples are exact whatever the poles: the causal region
+reads the series of N/D in z^-1 and the innermost disc the series in z
+(both `qfield._exact_quotient`).  Every two-sided region (and an expansion
+passed without its system) sums the terms as right- or left-sided pole
+powers: in floats for numeric poles, and for exact ones on scaled integers
+(`qfield._exact_pole_sum`).
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from sys import float_info
 from typing import Iterable, NamedTuple, Union
 
@@ -778,7 +778,8 @@ def enumerate_rocs(poles: Iterable[Pole]) -> list[Roc]:
     """All open annuli bounded by pole moduli, innermost disc first.
 
     k distinct moduli give k+1 regions, each with its derived causal and
-    stable tags.
+    stable tags.  The moduli are ordered by `_cmp_modulus`, so exact ones
+    exactly, even where two round to one float.
     """
     poles = list(poles)
     moduli: list = []
@@ -786,7 +787,7 @@ def enumerate_rocs(poles: Iterable[Pole]) -> list[Roc]:
         m = p.modulus()
         if not any(_cmp_modulus(m, seen) == 0 for seen in moduli):
             moduli.append(m)
-    moduli.sort(key=float)
+    moduli.sort(key=cmp_to_key(_cmp_modulus))
     zero = _ZERO if all(p.exact for p in poles) else 0.0
     bounds = [zero, *moduli, None]
     return [Roc(r_in, r_out) for r_in, r_out in zip(bounds, bounds[1:])]
@@ -806,10 +807,9 @@ class PartialFractionExpansion:
     `system` is the system the expansion came from (`partial_fractions`
     records it; numeric terms could not give it back), or None.  It decides
     how `inverse_z` computes a window: with a system, every window whose
-    poles all lie on one side of the region, and every window of an exact
-    expansion, comes from the system's recursion; without one, every window
-    is the pole sum of the terms.  It takes no part in equality, hashing or
-    repr.  The fields are read-only.
+    poles all lie on one side of the region comes from the system's
+    recursion; every other window is the pole sum of the terms.  It takes no
+    part in equality, hashing or repr.  The fields are read-only.
     """
 
     __slots__ = ("terms", "poly_part", "system")
@@ -849,27 +849,15 @@ class PartialFractionExpansion:
         """Recombine the expansion over the common denominator (exact only)."""
         if not self.exact:
             raise ValueError("cannot reconstruct exactly from numeric terms")
-        return RationalSystem(*_recombine(self.terms, self.poly_part))
-
-
-def _recombine(terms, poly_part: Polynomial) -> tuple[Polynomial, Polynomial, tuple[Pole, ...]]:
-    """Numerator, denominator and pole multiset of exact terms plus a polynomial part."""
-    poles = _collect_poles(terms)
-    den = _expand_factors(poles)
-    num = poly_part * den
-    for t in terms:
-        # The basis den/(1 - p z^-1)^order is a polynomial: its series, cut at its degree.
-        top = den.degree - t.order + 1
-        basis = Polynomial(_exact_quotient(den.coeffs, _factor_power(t.pole.value, t.order), top))
-        num = num + basis * t.coefficient
-    return num, den, poles
-
-
-def _collect_poles(terms: Iterable[PartialFractionTerm]) -> tuple[Pole, ...]:
-    seen: dict = {}
-    for t in terms:
-        seen[t.pole.value] = t.pole
-    return tuple(sorted(seen.values(), key=_pole_sort_key))
+        poles = tuple({t.pole.value: t.pole for t in self.terms}.values())
+        den = _expand_factors(poles)
+        num = self.poly_part * den
+        for t in self.terms:
+            # The basis den/(1 - p z^-1)^order is a polynomial: its series, cut at its degree.
+            top = den.degree - t.order + 1
+            basis = Polynomial(_exact_quotient(den.coeffs, _factor_power(t.pole.value, t.order), top))
+            num = num + basis * t.coefficient
+        return RationalSystem(num, den, poles)
 
 
 def partial_fractions(sys: RationalSystem) -> PartialFractionExpansion:
@@ -930,48 +918,32 @@ def inverse_z(
 
     A pole on or inside the inner radius contributes a right-sided term, a
     pole on or outside the outer radius a left-sided one; a pole strictly
-    inside the annulus makes the region invalid.  When the expansion records
-    its system N/D, the window comes from the system's recursion, exactly:
+    inside the annulus makes the region invalid.  When every pole lies on one
+    side and the expansion records its system N/D, the window comes from the
+    system's recursion, exactly:
 
     - every pole right-sided (the causal region): coefficients n0..n1 of the
       series N/D in z^-1 (`_exact_quotient`);
     - every pole left-sided (the innermost disc): with deg N = M, deg D = K
       and N~, D~ the reversed coefficient lists, H = z^(K-M) N~(z)/D~(z),
-      whose Taylor series in z gives h(M-K-j) for j >= 0;
-    - an exact expansion with poles on both sides: each side recombines over
-      its own poles, the inner one with the polynomial part; the inner
-      system runs causally, the outer one anticausally, and the window is
-      their sum.
+      whose Taylor series in z gives h(M-K-j) for j >= 0.
 
-    Otherwise -- a numeric two-sided region, an expansion without its system,
-    or N and D with irrational parts from two fields -- the window is the
-    pole sum (`_pole_sum`): in floats for numeric poles, and on scaled
-    integers (`qfield._exact_pole_sum`) for exact ones.
+    Otherwise -- a two-sided region, an expansion without its system, or N
+    and D with irrational parts from two fields -- the window is the pole sum
+    (`_pole_sum`): in floats for numeric poles, and on scaled integers
+    (`qfield._exact_pole_sum`) for exact ones.
     """
     if n1 < n0:
         raise ValueError(f"empty window [{n0}, {n1}]")
     right = [_right_sided(t.pole.modulus(), roc) for t in expansion.terms]
-    if expansion.system is not None and (expansion.exact or all(right) or not any(right)):
+    sys = expansion.system
+    if sys is not None and (all(right) or not any(right)):
+        series = _causal_series if all(right) else _anticausal_series
         try:
-            return SequenceWindow(n0, _series_window(expansion, right, n0, n1))
+            return SequenceWindow(n0, series(sys.numerator, sys.denominator, n0, n1))
         except FieldMismatchError:
             pass
     return _pole_sum(expansion, right, n0, n1)
-
-
-def _series_window(expansion: PartialFractionExpansion, right: list[bool], n0: int, n1: int) -> list:
-    """The window's values from the recorded system's recursion, by the cases of `inverse_z`."""
-    sys = expansion.system
-    if all(right):
-        return _causal_series(sys.numerator, sys.denominator, n0, n1)
-    if not any(right):
-        return _anticausal_series(sys.numerator, sys.denominator, n0, n1)
-    inner = [t for t, r in zip(expansion.terms, right) if r]
-    outer = [t for t, r in zip(expansion.terms, right) if not r]
-    num, den, _ = _recombine(inner, expansion.poly_part)
-    values = _causal_series(num, den, n0, n1)
-    num, den, _ = _recombine(outer, Polynomial())
-    return [a + b for a, b in zip(values, _anticausal_series(num, den, n0, n1))]
 
 
 def _causal_series(num: Polynomial, den: Polynomial, n0: int, n1: int) -> list:

@@ -299,7 +299,7 @@ class QuadRational:
         (a,), (b,), q = _scaled((self,))
         a, b = _pair_power(a, b, self._d, n)
         q **= n
-        return QuadRational(Fraction(a, q), Fraction(b, q) if b else 0, self._d)
+        return _from_integers(a, b, q, self._d)
 
     # -- order and sign --------------------------------------------------------
 
@@ -469,6 +469,22 @@ def _scaled(values) -> tuple[list[int], list[int], int]:
     )
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
+def _from_integers(a: int, b: int, den: int, d: int) -> QuadRational:
+    """(a + b sqrt(d))/den from the kernels' integers, each component reduced once.
+
+    `__init__` is skipped: d comes from values already built, and is 0 only
+    when they are all rational, so that b = 0.
+    """
+    value = object.__new__(QuadRational)
+    value._a = Fraction(a, den)
+    value._b = Fraction(b, den) if b else _FRACTION_ZERO
+    value._d = d if b else 5
+    return value
+
+
 def _slot_offsets(count: int, size: int) -> int:
     """The packed int whose `count` slots of `size` bytes each hold 2^(8 size - 1)."""
     return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
@@ -524,7 +540,7 @@ def _exact_product(xs, hs) -> list[QuadRational]:
         q = _int_convolve(bx, bh)
         r = _int_convolve([a + b for a, b in zip(ax, bx)], [a + b for a, b in zip(ah, bh)])
         rows = [(pk + d * qk, rk - pk - qk) for pk, qk, rk in zip(p, q, r)]
-    return [QuadRational(Fraction(a, den), Fraction(b, den) if b else 0, d or 5) for a, b in rows]
+    return [_from_integers(a, b, den, d) for a, b in rows]
 
 
 def _exact_quotient(us, ds, count: int, start: int = 0) -> list[QuadRational]:
@@ -560,7 +576,7 @@ def _exact_quotient(us, ds, count: int, start: int = 0) -> list[QuadRational]:
         yb.append(b)
         if j >= start:
             den = m * lpow
-            out.append(QuadRational(Fraction(a, den), Fraction(b, den) if b else 0, d or 5))
+            out.append(_from_integers(a, b, den, d))
         lpow *= lden
     return out
 
@@ -640,7 +656,7 @@ def _one_sided_sum(poly, terms, sign: int, e0: int, e1: int, d: int) -> list[Qua
             a += ca[e] * lpow
             b += cb[e] * lpow
         den = cden * lpow
-        out.append(QuadRational(Fraction(a, den), Fraction(b, den) if b else 0, d or 5))
+        out.append(_from_integers(a, b, den, d))
         lpow *= lden
     return out
 

@@ -1,23 +1,26 @@
 # tests/test_inverse_paths.py
 """One question, one answer: every path to an impulse-response window agrees.
 
-`inverse_z` answers from the system's recursion when the expansion records
-its system, and sums pole powers when it does not.  Over random exact
-systems (rational or in one field Q(sqrt(d)), poles of multiplicity 1-3,
-some cancelled by a numerator zero) both paths, and the recursion of the
-recombined expansion, must give the same exact window in every region; the
-causal one must also equal the simulated difference equation.  Exact pole
-sums run on scaled integers; with poles of multiplicity up to 4, improper
-numerators and windows out to about +-300, they must equal both the
-recursion and the pole sum done sample by sample in field arithmetic.
-Rational denominators of degree 3-5 handed over raw have numeric poles, yet
-their one-sided windows must still equal the simulation exactly.
+`inverse_z` answers a one-sided region from the system's recursion when the
+expansion records its system, and sums pole powers in every two-sided region
+and whenever the expansion has no system.  Over random exact systems
+(rational or in one field Q(sqrt(d)), poles of multiplicity 1-3, some
+cancelled by a numerator zero) the recorded and the bare expansion, and the
+expansion of the recombined system, must give the same exact window in
+every region, and that window must equal the pole sum done sample by sample
+in field arithmetic; the causal one must also equal the simulated
+difference equation.  The order-8 cascade H^4 of the Fibonacci system adds
+windows near -2000 and +2000.  Exact pole sums run on scaled integers; with
+poles of multiplicity up to 4, improper numerators and windows out to about
++-300, they must equal both the recursion and the field pole sum.  Rational
+denominators of degree 3-5 handed over raw have numeric poles, yet their
+one-sided windows must still equal the simulation exactly.
 """
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiblti.lti import (
@@ -26,7 +29,9 @@ from fiblti.lti import (
     Polynomial,
     RationalSystem,
     SequenceWindow,
+    cascade,
     enumerate_rocs,
+    fibonacci_system,
     inverse_z,
     partial_fractions,
     poly_mul,
@@ -39,6 +44,11 @@ HALF = st.fractions(min_value=-1, max_value=1, max_denominator=2)
 # Windows straddling 0, wholly negative past every left-sided start, and
 # wholly positive.
 WINDOWS = ((-7, 7), (-12, -4), (3, 9))
+# H^4, the Fibonacci system cascaded four times: poles phi and psi, each of
+# multiplicity 4.  Windows near +-2000 are the pole-sums benchmark's far case.
+H2 = cascade(fibonacci_system(), fibonacci_system())
+H4 = cascade(H2, H2)
+FAR_WINDOWS = ((-2000, -1990), (1990, 2000))
 
 
 @st.composite
@@ -64,18 +74,20 @@ def factored_systems(draw, max_multiplicity=3, improper=False):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(factored_systems())
-def test_recursion_pole_sum_and_recombination_agree_in_every_region(system):
+@given(factored_systems(), st.just(WINDOWS))
+@example(H4, FAR_WINDOWS)
+def test_recursion_pole_sum_and_recombination_agree_in_every_region(system, windows):
     expansion = partial_fractions(system)
     assert expansion.system is system
     pole_sum = PartialFractionExpansion(expansion.terms, expansion.poly_part)
     recombined = partial_fractions(expansion.reconstruct())
     for roc in enumerate_rocs(system.poles()):
-        for n0, n1 in WINDOWS:
+        for n0, n1 in windows:
             got = inverse_z(expansion, roc, n0, n1)
             assert got.exact
             assert got == inverse_z(pole_sum, roc, n0, n1)
             assert got == inverse_z(recombined, roc, n0, n1)
+            assert list(got.values) == field_pole_sum(expansion, roc, n0, n1)
     causal = enumerate_rocs(system.poles())[-1]
     assert inverse_z(expansion, causal, 0, 15) == simulate_difference_equation(
         system, make_impulse(), 15

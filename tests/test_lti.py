@@ -667,6 +667,18 @@ def test_small_numeric_poles_stay_apart():
     assert all(abs(g - float(w)) <= 1e-9 * scale for g, w in zip(got, want, strict=True))
 
 
+def test_exact_moduli_that_round_to_one_float_keep_their_order():
+    # Poles 1 and 1 + 2^-60 round to one double: float(1 + 2^-60) == 1.
+    from fiblti.response import make_impulse, simulate_difference_equation
+
+    near = 1 + Fraction(1, 2**60)
+    system = RationalSystem([1], poly_mul([1, -1], [1, -near]))
+    rocs = enumerate_rocs(system.poles())
+    assert [(r.r_in, r.r_out) for r in rocs] == [(0, 1), (1, near), (near, None)]
+    causal = inverse_z(partial_fractions(system), rocs[-1], 0, 12)
+    assert causal == simulate_difference_equation(system, make_impulse(), 12)
+
+
 # ---------------------------------------------------------
 # Partial fractions
 # ---------------------------------------------------------
