@@ -12,9 +12,12 @@ Three kernels work on field elements as integer pairs A + B*sqrt(d) over
 one denominator, and reduce each output once: sequences multiply (as
 polynomials or as windows) through `_exact_product`, divide as series
 through `_exact_quotient`, and sum as pole powers c C(n+m-1, m-1) p^n
-through `_exact_pole_sum`.  `**` squares and multiplies the same pair.  The
-kernels read and build the components directly, so they live beside the
-representation.
+through `_exact_pole_sum`.  The series quotient scales its j-th state by
+s^j, s the least integer that makes every tap s^k D_k an integer pair, not
+by the taps' common denominator: the reduction strips that scale from each
+output again, so the smaller s keeps far states smaller (L = 288 gives
+s = 12).  `**` squares and multiplies the same pair.  The kernels read and
+build the components directly, so they live beside the representation.
 """
 
 from __future__ import annotations
@@ -47,6 +50,36 @@ class FieldMismatchError(ValueError):
 _TRIAL_DIVISOR_MAX = 2_642_245
 
 
+def _prime_powers(m: int, limit: int) -> tuple[list[tuple[int, int]], int]:
+    """Factor m >= 1 by trial division up to `limit`: the pairs (f, e) and a cofactor r.
+
+    The product of the f^e times r is m.  Trial division by 2, 3, 5, 7, 9, ...
+    runs while p^3 <= the part of m left, so that part then has at most two
+    prime factors: it is a prime squared, given as (prime, 2), or square-free,
+    given whole as (part, 1), and r = 1.  If p passes `limit` first, trial
+    stops and r > 1 is the part left undecided.
+    """
+    factors = []
+    p = 2
+    while p * p * p <= m:
+        if p > limit:
+            return factors, m
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    r = math.isqrt(m)
+    if r * r == m:
+        if r > 1:
+            factors.append((r, 2))
+    else:
+        factors.append((m, 1))
+    return factors, 1
+
+
 def square_free_decompose(m: int) -> tuple[int, int]:
     """Write m >= 1 as s*s*k with k square-free and return (s, k).
 
@@ -55,26 +88,14 @@ def square_free_decompose(m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m}")
+    factors, rest = _prime_powers(m, _TRIAL_DIVISOR_MAX)
+    if rest > 1:
+        raise ValueError(f"cannot decide by trial division whether a square divides {m}")
     s = k = 1
-    p = 2
-    while p * p * p <= m:
-        if p > _TRIAL_DIVISOR_MAX:
-            raise ValueError(f"cannot decide by trial division whether a square divides {m}")
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                k *= p
-        p += 1 if p == 2 else 2
-    # The remainder has at most two prime factors: a square or square-free.
-    r = math.isqrt(m)
-    if r * r == m:
-        s *= r
-    else:
-        k *= m
+    for p, e in factors:
+        s *= p ** (e // 2)
+        if e % 2:
+            k *= p
     return s, k
 
 
@@ -543,41 +564,72 @@ def _exact_product(xs, hs) -> list[QuadRational]:
     return [_from_integers(a, b, den, d) for a, b in rows]
 
 
+#: The largest trial divisor of a tap denominator in `_step_scale`.  Tap
+#: denominators are products of small primes in practice; a larger prime
+#: factor only makes the step scale larger than the least, never wrong.
+_STEP_TRIAL_MAX = 1000
+
+
+def _step_scale(ds) -> int:
+    """The least s >= 1 with s^k ds[k] an integer pair for every k >= 1.
+
+    A prime power p^e of the denominator of ds[k] needs p^ceil(e/k) in s.
+    A cofactor that trial division up to `_STEP_TRIAL_MAX` leaves undecided
+    goes into s whole, which is valid but may not be least.  Each tap's need
+    divides its denominator, so s divides the taps' common denominator.
+    """
+    s = 1
+    for k, v in enumerate(ds[1:], 1):
+        q = math.lcm(v._a.denominator, v._b.denominator)
+        if (s**k) % q:
+            factors, need = _prime_powers(q, _STEP_TRIAL_MAX)
+            for p, e in factors:
+                need *= p ** -(-e // k)
+            s = math.lcm(s, need)
+    return s
+
+
 def _exact_quotient(us, ds, count: int, start: int = 0) -> list[QuadRational]:
     """Coefficients start..count-1 of U(z^-1)/D(z^-1) for field elements, D[0] = 1.
 
     The series y of U/D obeys y_j = u_j - sum_{k>=1} D_k y_{j-k}.  With U
-    scaled to integers over M and D over L (`_scaled`), Y_j = M L^j y_j
-    obeys Y_j = U_j L^j - sum_k (L D_k) L^(k-1) Y_{j-k}, a recursion in
-    integer pairs A + B sqrt(d), so no tap builds or reduces a `Fraction`;
-    only the last deg D states are kept, and each output from `start` on is
-    reduced once, as Y_j / (M L^j).  U may be shorter or longer than
-    `count`.  Values with irrational parts from two fields raise
-    FieldMismatchError.
+    scaled to integers over M (`_scaled`) and s the step scale of D
+    (`_step_scale`: the least s with every s^k D_k an integer pair),
+    Y_j = M s^j y_j obeys Y_j = U_j s^j - sum_k (s^k D_k) Y_{j-k}, a
+    recursion in integer pairs A + B sqrt(d), so no tap builds or reduces a
+    `Fraction`; only the last deg D states are kept, and each output from
+    `start` on is reduced once, as Y_j / (M s^j).  The scale is what each
+    reduction strips again, so it is kept least: s divides the taps' common
+    denominator L and is often far smaller (L = 288 gives s = 12), so the
+    states grow by log2(s) bits a step instead of log2(L).  U may be
+    shorter or longer than `count`.  Values with irrational parts from two
+    fields raise FieldMismatchError.
     """
     d = _field((*us, *ds))
     au, bu, m = _scaled(us[:count])
-    ad, bd, lden = _scaled(ds)
-    taps = [(ad[k] * lden ** (k - 1), bd[k] * lden ** (k - 1)) for k in range(1, len(ds))]
+    step = _step_scale(ds)
+    taps = [
+        (v._a.numerator * step**k // v._a.denominator, v._b.numerator * step**k // v._b.denominator)
+        for k, v in enumerate(ds[1:], 1)
+    ]
     pad = [0] * (count - len(au))
     au += pad
     bu += pad
     ya: deque[int] = deque(maxlen=len(taps))
     yb: deque[int] = deque(maxlen=len(taps))
     out = []
-    lpow = 1  # L^j
+    spow = 1  # s^j
     for j in range(count):
-        a = au[j] * lpow
-        b = bu[j] * lpow
+        a = au[j] * spow
+        b = bu[j] * spow
         for (ta, tb), pa, pb in zip(taps, reversed(ya), reversed(yb)):
             a -= ta * pa + d * tb * pb
             b -= ta * pb + tb * pa
         ya.append(a)
         yb.append(b)
         if j >= start:
-            den = m * lpow
-            out.append(_from_integers(a, b, den, d))
-        lpow *= lden
+            out.append(_from_integers(a, b, m * spow, d))
+        spow *= step
     return out
 
 

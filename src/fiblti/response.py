@@ -2,10 +2,10 @@
 
 Time-domain paths are exact unless an input window holds floats.  The
 difference-equation simulator runs the recursion once in big integers
-(`qfield._exact_quotient`: coefficients scaled to a common denominator, each
-output reduced once), `convolve` multiplies two windows as polynomials by
-Kronecker substitution (one big-int product per component), and the closed
-forms are `inverse_z` pole sums in Q(sqrt(5)) over the expansions of their
+(`qfield._exact_quotient`: the j-th state scaled by s^j, s the least
+integer that makes every tap s^k D_k an integer pair, each output reduced
+once), `convolve` multiplies two windows as polynomials by Kronecker
+substitution (one big-int product per component), and the closed forms are `inverse_z` pole sums in Q(sqrt(5)) over the expansions of their
 systems (`qfield._exact_pole_sum`, on scaled integers), passed without the
 system so they stay independent of that recursion.  A float window enters
 both kernels as the exact binary values of its floats, and each output is
@@ -97,8 +97,9 @@ def simulate_difference_equation(sys: RationalSystem, x: Signal, n1: int) -> Seq
     state, for n from x.n0 through n1.  Coefficients may be exact field
     elements (the minimum-phase system exercises that).  The output is the
     series of (num * x)/den: `_exact_product` forms num * x and
-    `_exact_quotient` runs the recursion once in big integers, scaled to a
-    common denominator, reducing each output once.  A float input enters as
+    `_exact_quotient` runs the recursion once in big integers, the j-th
+    state scaled by s^j with s the least integer that makes every tap
+    s^k D_k integral, reducing each output once.  A float input enters as
     the exact binary values of its floats, and each output is rounded to a
     float once; an output beyond float range raises OverflowError.
     """

@@ -9,10 +9,11 @@ cancelled by a numerator zero) the recorded and the bare expansion, and the
 expansion of the recombined system, must give the same exact window in
 every region, and that window must equal the pole sum done sample by sample
 in field arithmetic; the causal one must also equal the simulated
-difference equation.  The order-8 cascade H^4 of the Fibonacci system adds
-windows near -2000 and +2000.  Exact pole sums run on scaled integers; with
-poles of multiplicity up to 4, improper numerators and windows out to about
-+-300, they must equal both the recursion and the field pole sum.  Rational
+difference equation.  The order-8 cascade H^4 of the Fibonacci system and
+two cascades with fractional taps add windows near -2000 and +2000.  Exact
+pole sums run on scaled integers; with poles of multiplicity up to 4,
+improper numerators and windows out to about +-300, they must equal both
+the recursion and the field pole sum.  Rational
 denominators of degree 3-5 handed over raw have numeric poles, yet their
 one-sided windows must still equal the simulation exactly.
 """
@@ -36,7 +37,7 @@ from fiblti.lti import (
     partial_fractions,
     poly_mul,
 )
-from fiblti.qfield import FieldMismatchError, QuadRational
+from fiblti.qfield import SQRT5, FieldMismatchError, QuadRational
 from fiblti.response import make_impulse, simulate_difference_equation
 
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -49,6 +50,32 @@ WINDOWS = ((-7, 7), (-12, -4), (3, 9))
 H2 = cascade(fibonacci_system(), fibonacci_system())
 H4 = cascade(H2, H2)
 FAR_WINDOWS = ((-2000, -1990), (1990, 2000))
+# Cascades with fractional taps, whose recursions carry the least step scale
+# s instead of the taps' common denominator L.  Over Q(sqrt(5)), L = 288 and
+# s = 12: (1 - z^-1)/(1 - z^-1/2 - z^-2/4), 1/(1 - z^-1/2), 1/(1 + z^-1/3)^2
+# and 1/(1 - (3/4 + sqrt(5)/4) z^-1).
+CASCADE_288 = cascade(
+    cascade(
+        RationalSystem([1, -1], [1, Fraction(-1, 2), Fraction(-1, 4)]),
+        RationalSystem([1], [1, Fraction(-1, 2)]),
+    ),
+    cascade(
+        RationalSystem([1], [1, Fraction(2, 3), Fraction(1, 9)]),
+        RationalSystem([1], [1, -(Fraction(3, 4) + SQRT5 / 4)]),
+    ),
+)
+# Over Q, L = 64 and s = 4: (1 - z^-1/2)/(1 + 3z^-1 + z^-2),
+# 1/(1 + z^-1/2 - z^-2/4), 1/(1 - 2z^-1) and 1/(1 + 5z^-1/4)^2.
+CASCADE_64 = cascade(
+    cascade(
+        RationalSystem([1, Fraction(-1, 2)], [1, 3, 1]),
+        RationalSystem([1], [1, Fraction(1, 2), Fraction(-1, 4)]),
+    ),
+    cascade(
+        RationalSystem([1], [1, -2]),
+        RationalSystem([1], [1, Fraction(5, 2), Fraction(25, 16)]),
+    ),
+)
 
 
 @st.composite
@@ -76,6 +103,8 @@ def factored_systems(draw, max_multiplicity=3, improper=False):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(factored_systems(), st.just(WINDOWS))
 @example(H4, FAR_WINDOWS)
+@example(CASCADE_288, FAR_WINDOWS)
+@example(CASCADE_64, FAR_WINDOWS)
 def test_recursion_pole_sum_and_recombination_agree_in_every_region(system, windows):
     expansion = partial_fractions(system)
     assert expansion.system is system

@@ -1,11 +1,12 @@
 # tests/test_qfield.py
+import math
 import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiblti.qfield import (
@@ -14,6 +15,7 @@ from fiblti.qfield import (
     SQRT5,
     FieldMismatchError,
     QuadRational,
+    _step_scale,
     int_sqrt_exact,
     sqrt_exact,
     square_free_decompose,
@@ -94,6 +96,68 @@ def test_square_free_decompose_gives_up_on_large_cofactors():
     assert sqrt_exact(m) is None
     with pytest.raises(ValueError):
         QuadRational(1, 1, m)
+
+
+# Tap denominators from small primes and from 1000003, a prime above the
+# step scale's trial bound; 1000003^2 is left to it undecided.
+_TAP_DENOMINATORS = st.builds(
+    lambda es, big: 2 ** es[0] * 3 ** es[1] * 5 ** es[2] * 7 ** es[3] * 1000003**big,
+    st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    st.integers(0, 2),
+)
+_TAP_PARTS = st.builds(Fraction, st.integers(-9, 9), _TAP_DENOMINATORS)
+
+
+# Taps over Q, Q(sqrt(2)) or Q(sqrt(5)), one field per draw.
+_STEP_TAPS = st.sampled_from([0, 2, 5]).flatmap(
+    lambda d: st.lists(
+        st.builds(QuadRational, _TAP_PARTS, _TAP_PARTS if d else st.just(0), st.just(d or 5)),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+# The denominator written out of the rational cascade whose taps have common
+# denominator 64, and of the Q(sqrt(5)) cascade whose taps have 288.
+_TAPS_64 = [QuadRational(v) for v in "4,9/16,-457/32,-1219/64,-403/64,105/64,25/32".split(",")]
+_TAPS_288 = [
+    QuadRational(Fraction(-13, 12), Fraction(-1, 4)),
+    QuadRational(Fraction(-11, 36), Fraction(1, 12)),
+    QuadRational(Fraction(31, 72), Fraction(5, 36)),
+    QuadRational(Fraction(7, 96), Fraction(-1, 288)),
+    QuadRational(Fraction(-7, 144), Fraction(-1, 48)),
+    QuadRational(Fraction(-1, 96), Fraction(-1, 288)),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_STEP_TAPS, st.none())
+@example(_TAPS_64, 4)
+@example(_TAPS_288, 12)
+@example([QuadRational(Fraction(1, 2)), QuadRational(Fraction(1, 9)), QuadRational(Fraction(-1, 50))], 30)
+# Over Q(sqrt(2)), L = 50 and s = 10.
+@example([QuadRational(0, Fraction(1, 10), 2), QuadRational(Fraction(1, 50), Fraction(3, 50), 2)], 10)
+# The square of a prime above the trial bound goes into the scale whole.
+@example([QuadRational(Fraction(1, 2)), QuadRational(Fraction(1, 1000003**2))], 2 * 1000003**2)
+def test_step_scale_is_the_least_integer_scale_of_the_taps(taps, want):
+    """s^k D_k is an integer pair for every tap k >= 1, s divides the taps'
+    common denominator, and no prime below the trial bound can leave s."""
+    ds = [QuadRational(1), *taps]
+    s = _step_scale(ds)
+    if want is not None:
+        assert s == want
+    assert math.lcm(*(q for v in ds for q in (v.a.denominator, v.b.denominator))) % s == 0
+
+    def scales(t):
+        return all(
+            (v.a * t**k).denominator == 1 and (v.b * t**k).denominator == 1
+            for k, v in enumerate(ds[1:], 1)
+        )
+
+    assert scales(s)
+    for p in (2, 3, 5, 7):
+        assert s % p or not scales(s // p)
 
 
 # ---------------------------------------------------------

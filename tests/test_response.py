@@ -276,6 +276,9 @@ def recursions(draw):
 
 
 ROOT3 = QuadRational(0, 1, 3)
+# Taps with common denominator 64, scaled by 4 in the recursion.
+DEN_64 = [1, 4, Fraction(9, 16), Fraction(-457, 32), Fraction(-1219, 64), Fraction(-403, 64),
+          Fraction(105, 64), Fraction(25, 32)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -289,6 +292,10 @@ ROOT3 = QuadRational(0, 1, 3)
 @example((RationalSystem([], [1, QuadRational(1, 1, 2)]), Signal(0, [QuadRational(0, 1, 2)]), 4))
 # Rational outputs from an irrational recursion: 1/(1 - 2 sqrt 2 z^-1 + 2 z^-2).
 @example((RationalSystem([1], [1, QuadRational(0, -2, 2), 2]), make_impulse(), 6))
+# Fractional taps: common denominator 64, and a tap over the square of
+# 1000003, a prime above the step scale's trial bound.
+@example((RationalSystem([1, Fraction(-1, 2)], DEN_64), Signal(-3, [1, 0, Fraction(2, 3)]), 60))
+@example((RationalSystem([1], [1, Fraction(-1, 2), Fraction(3, 1000003**2)]), make_impulse(), 30))
 def test_simulation_matches_the_per_sample_field_recursion(case):
     sys_, x, n1 = case
     y = simulate_difference_equation(sys_, x, n1)
