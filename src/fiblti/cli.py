@@ -12,14 +12,16 @@ bytes.  Exit codes: 0 on success, 2 on usage errors, 1 on computation errors.
 Each handler imports the library names it uses, so a command loads only the
 modules it runs: `gen` and `props` load `qfield` and `fib`; `impz`,
 `analyze` and `cascade` load `qfield` and `lti`; `step`, `minphase`,
-`respond` and `freqz` load `response` on top of those two, and `freqz` then
-numpy.  Importing this module loads none of them.
+`respond` and `freqz` load `response` on top of those two.  No command loads
+numpy: `freqz` runs the pure-Python unit-circle pass of `response`.
+Importing this module loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -237,45 +239,35 @@ def _cmd_impz(args, parser) -> str:
 
 
 def _cmd_freqz(args, parser) -> str:
-    # The library loads first: compiling it after numpy raises the peak RSS.
-    from .response import fibonacci_band_features, fibonacci_magnitude_law, freq_response
+    from .response import _GRID_NOTE, _law, _unit_circle, fibonacci_band_features
 
-    try:
-        import numpy as np
-    except ImportError:
-        raise ImportError("freqz needs numpy (pip install 'fiblti[freqz]')") from None
-
-    sys_ = _system(args)
-    grid = freq_response(sys_, args.points)
+    omegas, magnitude, phase = _unit_circle(_system(args), args.points)
     if args.features:
         law = fibonacci_band_features()
-        all_finite = bool(np.isfinite(grid.magnitude).all())
-        idx = int(np.argmin(grid.magnitude))
+        idx = min(range(len(magnitude)), key=magnitude.__getitem__)
         payload = {
-            "grid_min_omega": float(grid.omegas[idx]),
-            "grid_min_magnitude": float(grid.magnitude[idx]),
+            "grid_min_omega": omegas[idx],
+            "grid_min_magnitude": magnitude[idx],
             "law_min_omega": law.minimum_omega,
             "law_min_magnitude": law.minimum_magnitude,
             "law_half_power_omegas": list(law.half_power_omegas),
-            "max_abs_error_vs_law": float(
-                np.max(np.abs(grid.magnitude - fibonacci_magnitude_law(grid.omegas)))
-            )
-            if all_finite
+            "max_abs_error_vs_law": max(abs(m - _law(w)) for w, m in zip(omegas, magnitude))
+            if all(map(math.isfinite, magnitude))
             else None,
-            "note": grid.note,
+            "note": _GRID_NOTE,
         }
         return json.dumps(payload, indent=2) + "\n"
     if args.format == "json":
         # Strict JSON has no Infinity/NaN tokens; singular points become null.
         payload = {
-            "note": grid.note,
-            "omegas": [float(w) for w in grid.omegas],
-            "magnitude": [float(m) if np.isfinite(m) else None for m in grid.magnitude],
-            "phase": [float(p) if np.isfinite(p) else None for p in grid.phase],
+            "note": _GRID_NOTE,
+            "omegas": omegas,
+            "magnitude": [m if math.isfinite(m) else None for m in magnitude],
+            "phase": [p if math.isfinite(p) else None for p in phase],
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = ["omega,magnitude,phase"]
-    for w, m, p in zip(grid.omegas, grid.magnitude, grid.phase):
+    for w, m, p in zip(omegas, magnitude, phase):
         lines.append(f"{w:.17g},{m:.17g},{p:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -482,7 +474,7 @@ def _main(argv) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except (ValueError, ArithmeticError, OSError, ImportError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is None:

@@ -11,11 +11,13 @@ system so they stay independent of that recursion.  A float window enters
 both kernels as the exact binary values of its floats, and each output is
 rounded to a float once, so the result is inexact but correctly rounded.
 The frequency side is a formal evaluation of the coefficient polynomials on
-the unit circle, computed in floats on a uniform [0, pi] grid; it
+the unit circle, computed in floats on a uniform [0, pi] grid by one
+pure-Python pass (`_unit_circle`) that the CLI's `freqz` calls directly; it
 deliberately ignores whether any region of convergence actually contains
 the circle, and says so in its metadata.
-Only the frequency-side functions use numpy, and each imports it itself, so
-the time-domain paths run without loading it.
+Only the array API (`freq_response`, `compare_magnitudes`,
+`fibonacci_magnitude_law`) uses numpy, and each function imports it itself,
+so everything else runs without loading it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .lti import (
     PartialFractionExpansion,
     RationalSystem,
     SequenceWindow,
+    _horner,
     accumulator_system,
     cascade,
     enumerate_rocs,
@@ -148,6 +151,10 @@ def min_phase_impulse(n1: int) -> SequenceWindow:
     return _causal_impulse_response(min_phase_system(), n1)
 
 
+#: What a frequency grid is: a formal evaluation, whatever the region of convergence.
+_GRID_NOTE = "formal unit-circle evaluation"
+
+
 class FrequencyGrid:
     """Magnitude and principal phase on a uniform [0, pi] grid.
 
@@ -166,7 +173,7 @@ class FrequencyGrid:
         omegas: np.ndarray,
         magnitude: np.ndarray,
         phase: np.ndarray,
-        note: str = "formal unit-circle evaluation",
+        note: str = _GRID_NOTE,
     ) -> None:
         for name, value in zip(self.__slots__, (points, omegas, magnitude, phase, note)):
             object.__setattr__(self, name, value)
@@ -182,33 +189,42 @@ class FrequencyGrid:
         return f"FrequencyGrid({fields})"
 
 
-def _eval_on_circle(poly, omegas: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _unit_circle(sys: RationalSystem, points: int) -> tuple[list, list, list]:
+    """Omegas, magnitudes and principal phases on `points` samples of [0, pi].
 
-    coeffs = poly.float_coeffs()
-    if not coeffs:
-        return np.zeros(len(omegas), dtype=complex)
-    k = np.arange(len(coeffs))
-    return np.exp(-1j * np.outer(omegas, k)) @ np.asarray(coeffs, dtype=complex)
+    w_i = i pi/(points - 1), the last exactly pi.  z = e^-jw is formed once
+    per point, and is exact at w = 0, pi/2 (an odd grid's middle) and pi, so
+    poles there are hit; N and D go by Horner in z (`lti._horner`).  Where
+    D(z) = 0 the magnitude is inf and the phase NaN.  Plain lists: no numpy.
+    """
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+    num = sys.numerator.float_coeffs()[::-1]
+    den = sys.denominator.float_coeffs()[::-1]
+    step = math.pi / (points - 1)
+    omegas = [i * step for i in range(points - 1)] + [math.pi]
+    exact = {points - 1: complex(-1.0, -0.0)}
+    if points % 2:
+        exact[points // 2] = complex(0.0, -1.0)
+    magnitude, phase = [], []
+    for i, w in enumerate(omegas):
+        z = exact.get(i) or complex(math.cos(w), -math.sin(w))
+        d = _horner(den, z)
+        if d == 0:
+            magnitude.append(math.inf)
+            phase.append(math.nan)
+        else:
+            h = _horner(num, z) / d
+            magnitude.append(abs(h))
+            phase.append(math.atan2(h.imag, h.real))
+    return omegas, magnitude, phase
 
 
 def freq_response(sys: RationalSystem, points: int = 512) -> FrequencyGrid:
     """Formal frequency response H(e^jw) on `points` samples of [0, pi]."""
     import numpy as np
 
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    omegas = np.linspace(0.0, math.pi, points)
-    nv = _eval_on_circle(sys.numerator, omegas)
-    dv = _eval_on_circle(sys.denominator, omegas)
-    singular = dv == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(singular, np.nan, nv) / np.where(singular, 1.0, dv)
-    magnitude = np.abs(h)
-    phase = np.angle(h)
-    magnitude[singular] = np.inf
-    phase[singular] = np.nan
-    return FrequencyGrid(points, omegas, magnitude, phase)
+    return FrequencyGrid(points, *map(np.array, _unit_circle(sys, points)))
 
 
 class MagnitudeComparison(NamedTuple):
@@ -255,8 +271,12 @@ def fibonacci_magnitude_law(omegas) -> np.ndarray:
     """
     import numpy as np
 
-    omegas = np.asarray(omegas, dtype=float)
-    return 1.0 / np.sqrt(1.0 + 4.0 * np.sin(omegas) ** 2)
+    return np.vectorize(_law, otypes=[float])(omegas)[()]  # a scalar stays a scalar
+
+
+def _law(w: float) -> float:
+    """The magnitude law at one frequency (see `fibonacci_magnitude_law`)."""
+    return 1.0 / math.sqrt(1.0 + 4.0 * math.sin(w) ** 2)
 
 
 def fibonacci_band_features() -> BandFeatures:

@@ -335,11 +335,11 @@ def test_freqz_features(capsys):
     assert payload["max_abs_error_vs_law"] <= 1e-12
 
 
-def test_freqz_without_numpy_exits_one_with_a_hint(capsys, monkeypatch):
+def test_freqz_without_numpy_prints_the_golden_grid(capsys, monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now raises ImportError
-    code, out, err = run_cli(capsys, "freqz", "--den", "1,-1,-1", "--points", "3")
-    assert (code, out) == (1, "")
-    assert err == "error: freqz needs numpy (pip install 'fiblti[freqz]')\n"
+    code, out, err = run_cli(capsys, "freqz", "--den", "1,-1,-1", "--points", "513")
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / "freqz-513.txt").read_text(encoding="utf-8")
 
 
 def test_freqz_singular_point_in_json_is_null(capsys):
@@ -350,6 +350,21 @@ def test_freqz_singular_point_in_json_is_null(capsys):
     assert payload["magnitude"][0] is None
     assert payload["phase"][0] is None
     assert payload["magnitude"][1] is not None
+
+
+# Poles on the unit circle at pi (den 1,1) and at pi/2 (den 1,0,1): the grid
+# point lands on them exactly, so the magnitude is inf and the phase NaN.
+@pytest.mark.parametrize("den, points, index", [("1,1", "3", 2), ("1,0,1", "5", 2)])
+def test_freqz_hits_poles_at_pi_and_half_pi(capsys, den, points, index):
+    code, out, _ = run_cli(capsys, "freqz", "--den", den, "--points", points)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[index][1:] == ["inf", "nan"]
+    assert all(math.isfinite(float(m)) for i, (_, m, _) in enumerate(rows) if i != index)
+    code, out, _ = run_cli(capsys, "freqz", "--den", den, "--points", points, "--format", "json")
+    payload = json.loads(out)
+    assert payload["magnitude"][index] is None and payload["phase"][index] is None
+    assert payload["magnitude"].count(None) == 1
 
 
 # ---------------------------------------------------------
@@ -580,7 +595,9 @@ print(json.dumps([code, "numpy" in sys.modules]))
     (["analyze", "--den", "1,-1,-1"], False),
     (["cascade", "--den-a", "1,-1,-1", "--den-b", "1,-1", "--impz", "0", "5"], False),
     (["respond", "--input", "{signal}", "--to", "5"], False),
-    (["freqz", "--den", "1,-1,-1", "--points", "9"], True),
+    (["freqz", "--den", "1,-1,-1", "--points", "9"], False),
+    (["freqz", "--den", "1,-1,-1", "--points", "9", "--features"], False),
+    (["freqz", "--den", "1,-1", "--points", "9", "--format", "json"], False),
     # Numeric poles (degree >= 3) are found in plain Python.
     (["impz", "--den", "1,-1,-1,-1", "--from", "0", "--to", "5"], False),
     (["analyze", "--den", "1,-1/2,-1/3,1/7"], False),

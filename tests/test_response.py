@@ -7,6 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+try:
+    import mpmath  # test-only oracle
+except ImportError:
+    mpmath = None
+
 from fiblti.lti import (
     MalformedSystemError,
     RationalSystem,
@@ -19,6 +24,7 @@ from fiblti.lti import (
     partial_fractions,
     reciprocal_system,
 )
+from fiblti.cli import main
 from fiblti.qfield import GOLDEN_RATIO, FieldMismatchError, QuadRational
 from fiblti.response import (
     Signal,
@@ -520,6 +526,15 @@ def test_singular_grid_points_are_marked():
     assert np.isfinite(grid.magnitude[1:]).all()
 
 
+@pytest.mark.parametrize("den, points, index", [
+    ([1, 1], 3, 2), ([1, 1], 513, 512), ([1, 0, 1], 5, 2), ([1, 0, 1], 513, 256),
+])
+def test_poles_at_pi_and_half_pi_are_marked(den, points, index):
+    grid = freq_response(RationalSystem([1], den), points)
+    assert np.isinf(grid.magnitude[index]) and np.isnan(grid.phase[index])
+    assert np.isfinite(np.delete(grid.magnitude, index)).all()
+
+
 def test_reciprocal_magnitude_is_identical():
     cmp = compare_magnitudes(fibonacci_system(), reciprocal_system(fibonacci_system()))
     assert cmp.within(1e-12)
@@ -558,6 +573,48 @@ def test_reciprocal_exists_iff_the_numerator_degree_fits(sys_):
     ga, gb = freq_response(sys_), freq_response(flipped)
     ok = np.isfinite(ga.magnitude) & np.isfinite(gb.magnitude) & (ga.magnitude < 1e6)
     assert gb.magnitude[ok] == pytest.approx(ga.magnitude[ok], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath as the oracle")
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(flippable_systems())
+@example(fibonacci_system())
+@example(RationalSystem([1, 2], [1, 1]))
+def test_grid_magnitudes_are_within_a_horner_rounding_bound(sys_):
+    """Each finite magnitude is within a rounding bound of a 50-digit H at the same float w.
+
+    Both sides evaluate the same float coefficients.  With u = 2^-53 and K the
+    longer coefficient count, Horner's K complex products and sums in the
+    float z err by at most about 4 K u sum|c_k|, and z (cos and sin each
+    within an ulp of e^-jw) adds about 3 K u sum|c_k|.  N/D then errs by
+    (err_N + |H| err_D)/|D| to first order, and the division and abs add a
+    few u |H| <= few u sum|n_k|/|D|; 8 K u (sum|n_k| + |H| sum|d_k|)/|D|
+    covers the sum.
+    """
+    num, den = sys_.numerator.float_coeffs(), sys_.denominator.float_coeffs()
+    scale = 8 * max(len(num), len(den)) * 2.0**-53
+    grid = freq_response(sys_, 33)
+    with mpmath.workdps(50):
+        for w, m in zip(grid.omegas, grid.magnitude):
+            z = mpmath.expj(-mpmath.mpf(float(w)))
+            n, d = mpmath.polyval(num[::-1], z), mpmath.polyval(den[::-1], z)
+            if not math.isfinite(m) or d == 0:
+                continue
+            h = abs(n / d)
+            bound = scale * (sum(map(abs, num)) + h * sum(map(abs, den))) / abs(d)
+            assert abs(m - h) <= bound, (float(w), m, float(h), float(bound))
+
+
+@pytest.mark.parametrize("den, points", [
+    ("1,-1,-1", 257), ("1,1", 3), ("1,0,1", 5), ("1,-1/2,1/3,-1/5", 64),
+])
+def test_cli_grid_is_the_library_grid(capsys, den, points):
+    """`freqz` prints, to 17 digits, the values `freq_response` returns: one kernel."""
+    assert main(["freqz", "--num", "1,2", "--den", den, "--points", str(points)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    printed = np.array([[float(v) for v in line.split(",")] for line in lines]).T
+    grid = freq_response(RationalSystem([1, 2], [Fraction(c) for c in den.split(",")]), points)
+    np.testing.assert_array_equal(printed, [grid.omegas, grid.magnitude, grid.phase])
 
 
 def test_min_phase_magnitude_ratio_span():
